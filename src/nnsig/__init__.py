@@ -35,11 +35,9 @@ from .nulldist import (
     CovMatrix,
     NullConfig,
     TestResult,
-    adaptive_m,
     cholesky_with_jitter,
     empirical_covariance,
     null_distribution,
-    null_sample,
     p_value_from_null,
     sample_networks,
     shrink,

@@ -130,7 +130,6 @@ def _stat_config(test: dict) -> StatConfig:
                 lipschitz=float(raw["lipschitz"]),
                 depth=int(raw["depth"]),
                 s_over_d=float(raw["s_over_d"]),
-                c_prime=float(raw.get("c_prime", 1.0)),
             )
         except KeyError as exc:
             raise ConfigurationError(f"rate_constants missing {exc}") from None
@@ -142,9 +141,6 @@ def _null_config(test: dict, master_seed: int) -> NullConfig:
         m=int(test.get("m", 200)),
         n_p=int(test.get("n_p", 1000)),
         lambda_shrink=float(test.get("lambda_shrink", 0.0)),
-        alpha_adapt=float(test.get("alpha_adapt", 0.0)),
-        m_max=int(test.get("m_max", 1000)),
-        adapt_tol=float(test.get("adapt_tol", 0.01)),
         sigma_scale=test.get("sigma_scale", "raw"),
         seed=int(test.get("seed", master_seed)),
     )
@@ -238,22 +234,22 @@ def cmd_test(cfg: dict) -> int:
     if variables is None:
         variables = list(range(dataset.d))
     for j in variables:
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise ConfigurationError(f"test.variables entry {j!r} is not an integer")
         if not (0 <= j < dataset.d):
             raise ConfigurationError(f"variable index {j} out of range for d={dataset.d}")
 
     stat_cfg = _stat_config(test)
     null_cfg = _null_config(test, int(cfg["seed"]))
-    workers = int(test.get("workers", 1))
 
     results = []
     for j in variables:
-        res = significance_test(fitted, dataset, j, null_cfg, stat_cfg, workers)
+        res = significance_test(fitted, dataset, j, null_cfg, stat_cfg)
         entry = {
             "variable_index": res.variable_index,
             "observed_raw": res.observed.raw,
             "observed_normalized": res.observed.normalized,
             "p_value": res.p_value,
-            "m_final": res.m_final,
             "seed": res.seed,
         }
         if test.get("include_null_samples", True):

@@ -56,6 +56,9 @@ class TargetSpec:
             raise ConfigurationError(f"unknown target kind {self.kind!r}")
         if self.kind == "null_variable" and (self.base is None or self.dead_index is None):
             raise ConfigurationError("null_variable needs a base spec and a dead index")
+        required = {"linear": "beta", "smooth_sin": "frequency"}.get(self.kind)
+        if required is not None and getattr(self, required) is None:
+            raise ConfigurationError(f"{self.kind} target needs {required!r}")
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be nonnegative")
 
@@ -154,11 +157,16 @@ def load_csv(path, target_column: str) -> Dataset:
                 if cell == "":
                     raise IngestionError(f"{path}: missing value at row {rownum}, column {col!r}")
                 try:
-                    vals.append(float(cell))
+                    val = float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{path}: non-numeric cell {cell!r} at row {rownum}, column {col!r}"
                     ) from None
+                if not math.isfinite(val):
+                    raise IngestionError(
+                        f"{path}: non-finite cell {cell!r} at row {rownum}, column {col!r}"
+                    )
+                vals.append(val)
             rows.append(vals)
     if not rows:
         raise IngestionError(f"{path}: no data rows")

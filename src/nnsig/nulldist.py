@@ -10,27 +10,19 @@ Pipeline per tested variable:
 
 RNG scheme (documented contract): with master seed s, network k uses
 SeedSequence(s, spawn_key=(0, k)) and normal draw t uses
-SeedSequence(s, spawn_key=(1, t)). Draws are therefore independent of worker
-count and replication order, and parallel runs are bit-identical to serial
-ones.
+SeedSequence(s, spawn_key=(1, t)). Draws are therefore independent of
+replication order, and the first k networks do not depend on m.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericalError
-from .network import Network, forward_batch, init_glorot
-from .significance import (
-    StatConfig,
-    VariableStatistic,
-    empirical_test_statistic,
-    normalization_factor,
-)
+from .network import forward_batch, init_glorot
+from .significance import StatConfig, VariableStatistic, empirical_test_statistic
 from .training import FittedModel
 
 
@@ -39,10 +31,9 @@ class NullConfig:
     m: int = 200  # number of sampled networks
     n_p: int = 1000  # null replications
     lambda_shrink: float = 0.0
-    alpha_adapt: float = 0.0  # 0 disables adaptive growth
-    m_max: int = 1000
-    adapt_tol: float = 0.01
-    sigma_scale: str = "raw"  # "raw" | "four_sigma2"
+    # "raw" | "four_sigma2": recorded in reports only. The argmax draw ignores
+    # any positive rescaling of S, so 4*sigma^2*S selects the same networks.
+    sigma_scale: str = "raw"
     seed: int = 0
 
     def __post_init__(self):
@@ -50,12 +41,8 @@ class NullConfig:
             raise ConfigurationError("m must be at least 2 (covariance needs >= 2 networks)")
         if self.n_p < 1:
             raise ConfigurationError("n_p must be at least 1")
-        if self.m > self.m_max:
-            raise ConfigurationError(f"m={self.m} exceeds m_max={self.m_max}")
         if not (0.0 <= self.lambda_shrink <= 1.0):
             raise ConfigurationError("lambda_shrink must lie in [0, 1]")
-        if self.alpha_adapt < 0:
-            raise ConfigurationError("alpha_adapt must be nonnegative")
         if self.sigma_scale not in ("raw", "four_sigma2"):
             raise ConfigurationError(f"unknown sigma_scale {self.sigma_scale!r}")
 
@@ -63,7 +50,6 @@ class NullConfig:
 @dataclass
 class CovMatrix:
     entries: np.ndarray  # (m, m) symmetric
-    shrunk: bool = False
     chol_factor: np.ndarray | None = None
     jitter_used: float = 0.0
 
@@ -78,9 +64,7 @@ class TestResult:
     observed: VariableStatistic
     null_samples: list
     p_value: float
-    m_final: int
     seed: int
-    config_echo: dict = field(default_factory=dict)
 
 
 def _net_seed(master: int, k: int) -> np.random.SeedSequence:
@@ -91,40 +75,20 @@ def _draw_seed(master: int, t: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master & (2 ** 63 - 1), spawn_key=(1, t))
 
 
-def sample_networks(m: int, layer_dims, activation: str, seed: int,
-                    start_index: int = 0) -> list:
-    """m truncated-Glorot networks with the given architecture.
-
-    ``start_index`` offsets the per-network seed stream so that growing a
-    set appends new networks without changing existing ones.
-    """
-    if m < 2 and start_index == 0:
+def sample_networks(m: int, layer_dims, activation: str, seed: int) -> list:
+    """m truncated-Glorot networks with the given architecture."""
+    if m < 2:
         raise ConfigurationError("need at least 2 networks for a covariance estimate")
-    return [
-        init_glorot(layer_dims, activation, _net_seed(seed, start_index + k))
-        for k in range(m)
-    ]
+    return [init_glorot(layer_dims, activation, _net_seed(seed, k)) for k in range(m)]
 
 
-def empirical_covariance(nets, X, sigma_scale: str = "raw",
-                         sigma2_hat: float | None = None) -> CovMatrix:
-    """Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i).
-
-    With sigma_scale="four_sigma2" every entry is multiplied by 4*sigma2_hat,
-    matching the limiting-process kernel; the argmax draw is invariant to
-    this positive rescaling.
-    """
+def empirical_covariance(nets, X) -> CovMatrix:
+    """Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i)."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     outputs = np.stack([forward_batch(f, X) for f in nets])  # (m, n)
     s = outputs @ outputs.T / n
     s = (s + s.T) / 2.0
-    if sigma_scale == "four_sigma2":
-        if sigma2_hat is None:
-            raise ConfigurationError("four_sigma2 scaling requires sigma2_hat")
-        s = 4.0 * sigma2_hat * s
-    elif sigma_scale != "raw":
-        raise ConfigurationError(f"unknown sigma_scale {sigma_scale!r}")
     return CovMatrix(entries=s)
 
 
@@ -135,7 +99,7 @@ def shrink(cov: CovMatrix, lam: float) -> CovMatrix:
     s = cov.entries
     out = (1.0 - lam) * s
     np.fill_diagonal(out, np.diag(s))  # keep the diagonal bit-exact
-    return CovMatrix(entries=out, shrunk=lam > 0.0)
+    return CovMatrix(entries=out)
 
 
 def cholesky_with_jitter(cov: CovMatrix) -> CovMatrix:
@@ -153,104 +117,47 @@ def cholesky_with_jitter(cov: CovMatrix) -> CovMatrix:
             chol = np.linalg.cholesky(s + jitter * np.eye(cov.dim))
         except np.linalg.LinAlgError:
             continue
-        return CovMatrix(entries=s, shrunk=cov.shrunk, chol_factor=chol, jitter_used=jitter)
+        return CovMatrix(entries=s, chol_factor=chol, jitter_used=jitter)
     raise NumericalError(
         "covariance factorization failed at maximum jitter; "
         "consider shrinkage (lambda_shrink > 0)"
     )
 
 
-def null_sample(nets, cov: CovMatrix, X, j: int, rng: np.random.Generator,
-                stat_cfg: StatConfig = StatConfig(),
-                cached_stats: np.ndarray | None = None) -> float:
-    """One null draw: z = chol @ g, pick argmax(z) (lowest index on ties),
-    return that network's normalized gradient statistic for variable j."""
-    if cov.chol_factor is None:
-        raise ConfigurationError("covariance has no Cholesky factor; factorize first")
-    g = rng.standard_normal(cov.dim)
-    idx = int(np.argmax(cov.chol_factor @ g))
-    if cached_stats is not None:
-        return float(cached_stats[idx])
-    return empirical_test_statistic(nets[idx], X, j, stat_cfg).normalized
-
-
-def adaptive_m(cov_prev: CovMatrix, cov_cur: CovMatrix, m_k: int, alpha: float,
-               m_max: int) -> int:
-    """Growth rule m_{k+1} = ceil(m_k * (1 + alpha * ||dS||_F)), capped.
-
-    When dimensions differ, the Frobenius norm is taken over the common
-    leading principal submatrix.
-    """
-    k = min(cov_prev.dim, cov_cur.dim)
-    delta = cov_cur.entries[:k, :k] - cov_prev.entries[:k, :k]
-    change = float(np.linalg.norm(delta, "fro"))
-    return min(m_max, math.ceil(m_k * (1.0 + alpha * change)))
-
-
 def _prepare_null(fitted: FittedModel, X, cfg: NullConfig):
-    """Sample networks, run the adaptive loop, and factorize the covariance.
+    """Sample cfg.m networks and factorize their (shrunk) covariance.
 
-    Returns (nets, factorized CovMatrix, m_final).
+    Returns (nets, factorized CovMatrix).
     """
-    dims = fitted.net.layer_dims
-    act = fitted.net.activation
-    sigma2_hat = 2.0 * fitted.final_empirical_risk if cfg.sigma_scale == "four_sigma2" else None
-
-    m_cur = cfg.m
-    nets = sample_networks(m_cur, dims, act, cfg.seed)
-    cov = empirical_covariance(nets, X, cfg.sigma_scale, sigma2_hat)
-    if cfg.alpha_adapt > 0.0:
-        # Existing networks stay fixed when m grows, so the common leading
-        # block of successive estimates agrees and the loop stops as soon as
-        # the relative change falls below adapt_tol.
-        while m_cur < cfg.m_max:
-            m_next = adaptive_m(cov, cov, m_cur, cfg.alpha_adapt, cfg.m_max)
-            nets.extend(sample_networks(m_next - m_cur, dims, act, cfg.seed,
-                                        start_index=m_cur) if m_next > m_cur else [])
-            cov_next = (empirical_covariance(nets, X, cfg.sigma_scale, sigma2_hat)
-                        if m_next > m_cur else cov)
-            k = min(cov.dim, cov_next.dim)
-            delta = float(np.linalg.norm(cov_next.entries[:k, :k] - cov.entries[:k, :k], "fro"))
-            norm = float(np.linalg.norm(cov_next.entries, "fro"))
-            cov, m_cur = cov_next, m_next
-            if norm == 0.0 or delta / norm < cfg.adapt_tol:
-                break
-
+    nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
+    cov = empirical_covariance(nets, X)
     if cfg.lambda_shrink > 0.0:
         cov = shrink(cov, cfg.lambda_shrink)
-    cov = cholesky_with_jitter(cov)
-    return nets, cov, m_cur
+    return nets, cholesky_with_jitter(cov)
 
 
-def _selection_indices(chol: np.ndarray, seed: int, n_p: int, workers: int = 1) -> np.ndarray:
-    """Argmax coordinate of each of n_p multivariate normal draws."""
+def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
+    """Argmax coordinate (lowest index on ties) of each of n_p draws chol @ g_t."""
     m = chol.shape[0]
-
-    def one(t: int) -> int:
-        rng = np.random.Generator(np.random.PCG64(_draw_seed(seed, t)))
-        return int(np.argmax(chol @ rng.standard_normal(m)))
-
-    if workers <= 1:
-        return np.array([one(t) for t in range(n_p)], dtype=np.intp)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(n_p))), dtype=np.intp)
+    rngs = (np.random.Generator(np.random.PCG64(_draw_seed(seed, t))) for t in range(n_p))
+    return np.array([np.argmax(chol @ rng.standard_normal(m)) for rng in rngs], dtype=np.intp)
 
 
 def null_distribution(fitted: FittedModel, dataset, j: int, cfg: NullConfig,
-                      stat_cfg: StatConfig = StatConfig(), workers: int = 1):
-    """n_p null statistics for variable j; returns (samples, m_final).
+                      stat_cfg: StatConfig = StatConfig()):
+    """n_p null statistics for variable j; returns (samples, idx).
 
-    One shared network set and covariance serve all draws; each sampled
-    network's gradient statistic is computed once, the Gaussian draws only
+    ``idx`` holds the index of the sampled network each draw selected. Each
+    network's gradient statistic is computed once; the Gaussian draws only
     select indices.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
-    nets, cov, m_final = _prepare_null(fitted, X, cfg)
+    nets, cov = _prepare_null(fitted, X, cfg)
     cached = np.array(
         [empirical_test_statistic(f, X, j, stat_cfg).normalized for f in nets]
     )
-    idx = _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p, workers)
-    return cached[idx].tolist(), m_final
+    idx = _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p)
+    return cached[idx].tolist(), idx
 
 
 def p_value_from_null(observed_normalized: float, null_samples) -> float:
@@ -261,26 +168,15 @@ def p_value_from_null(observed_normalized: float, null_samples) -> float:
 
 
 def significance_test(fitted: FittedModel, dataset, j: int, cfg: NullConfig,
-                      stat_cfg: StatConfig = StatConfig(), workers: int = 1) -> TestResult:
+                      stat_cfg: StatConfig = StatConfig()) -> TestResult:
     """Full test for variable j: observed statistic, null samples, p-value."""
     X = np.asarray(dataset.X, dtype=np.float64)
     observed = empirical_test_statistic(fitted.net, X, j, stat_cfg)
-    null_samples, m_final = null_distribution(fitted, dataset, j, cfg, stat_cfg, workers)
+    null_samples, _ = null_distribution(fitted, dataset, j, cfg, stat_cfg)
     return TestResult(
         variable_index=j,
         observed=observed,
         null_samples=null_samples,
         p_value=p_value_from_null(observed.normalized, null_samples),
-        m_final=m_final,
         seed=cfg.seed,
-        config_echo={
-            "m": cfg.m,
-            "n_p": cfg.n_p,
-            "lambda_shrink": cfg.lambda_shrink,
-            "alpha_adapt": cfg.alpha_adapt,
-            "m_max": cfg.m_max,
-            "adapt_tol": cfg.adapt_tol,
-            "sigma_scale": cfg.sigma_scale,
-            "normalization_mode": stat_cfg.normalization_mode,
-        },
     )

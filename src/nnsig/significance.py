@@ -19,14 +19,12 @@ from .network import Network, input_gradient_batch
 @dataclass(frozen=True)
 class RateConstants:
     """Constants for the rate-based normalization: width H, Lipschitz constant
-    of the activation, depth, and smoothness ratio s/d. ``c_prime`` is an
-    unused placeholder constant, kept at 1 and echoed in reports."""
+    of the activation, depth, and smoothness ratio s/d."""
 
     h_n: int
     lipschitz: float
     depth: int
     s_over_d: float
-    c_prime: float = 1.0
 
 
 @dataclass(frozen=True)

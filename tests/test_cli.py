@@ -167,10 +167,12 @@ class TestTestCommand:
         assert sidecar[0] == "sample"
         assert [float(v) for v in sidecar[1:]] == report["results"][0]["null_samples"]
 
-    def test_variable_out_of_range(self, tmp_path):
-        cfg = base_config(tmp_path)
-        cfg["test"]["variables"] = [5]
-        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+    def test_variable_out_of_range(self, tmp_path, capsys):
+        for bad in (5, 1.5, "0"):
+            cfg = base_config(tmp_path)
+            cfg["test"]["variables"] = [bad]
+            assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+            assert repr(bad) in capsys.readouterr().err
 
     def test_csv_input_path(self, tmp_path):
         gen = base_config(tmp_path)

@@ -49,6 +49,11 @@ class TestGenerate:
         with pytest.raises(ConfigurationError):
             TargetSpec(kind="null_variable")
 
+    @pytest.mark.parametrize("kind, key", [("linear", "beta"), ("smooth_sin", "frequency")])
+    def test_kind_requires_its_parameter(self, kind, key):
+        with pytest.raises(ConfigurationError, match=key):
+            TargetSpec(kind=kind)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             TargetSpec(kind="cubic")
@@ -80,6 +85,12 @@ class TestLoadCsv:
         rows = ["a,y"] + [f"{i},{i}" for i in range(1, 7)] + ["oops,7", "8,8"]
         p = self.write(tmp_path, "\n".join(rows) + "\n")
         with pytest.raises(IngestionError, match="row 7"):
+            load_csv(p, "y")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_cites_row_and_column(self, tmp_path, cell):
+        p = self.write(tmp_path, f"a,b,y\n1,2,3\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(IngestionError, match=f"non-finite cell '{cell}' at row 3, column 'b'"):
             load_csv(p, "y")
 
     def test_missing_value_cites_row(self, tmp_path):

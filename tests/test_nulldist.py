@@ -9,17 +9,18 @@ from nnsig.network import Network, glorot_sigma, init_glorot
 from nnsig.nulldist import (
     CovMatrix,
     NullConfig,
-    adaptive_m,
+    _draw_seed,
+    _prepare_null,
+    _selection_indices,
     cholesky_with_jitter,
     empirical_covariance,
     null_distribution,
-    null_sample,
     p_value_from_null,
     sample_networks,
     shrink,
     significance_test,
 )
-from nnsig.significance import StatConfig
+from nnsig.significance import StatConfig, empirical_test_statistic
 from nnsig.training import ArchSpec, TrainConfig, fit_least_squares
 
 
@@ -61,9 +62,9 @@ class TestSampleNetworks:
 
     def test_growth_appends_without_changing_prefix(self):
         base = sample_networks(4, (3, 5, 1), "tanh", 9)
-        grown = base + sample_networks(2, (3, 5, 1), "tanh", 9, start_index=4)
         again = sample_networks(6, (3, 5, 1), "tanh", 9)
-        for fa, fb in zip(grown, again):
+        assert len(again) == 6
+        for fa, fb in zip(base, again):
             for wa, wb in zip(fa.weights, fb.weights):
                 assert np.array_equal(wa, wb)
 
@@ -99,15 +100,6 @@ class TestEmpiricalCovariance:
         for _ in range(200):
             z = rng.normal(size=10)
             assert z @ cov @ z >= -1e-10
-
-    def test_four_sigma2_scaling(self):
-        X = np.random.default_rng(5).uniform(-1, 1, (40, 2))
-        nets = sample_networks(3, (2, 4, 1), "tanh", 17)
-        raw = empirical_covariance(nets, X).entries
-        scaled = empirical_covariance(nets, X, "four_sigma2", sigma2_hat=0.25).entries
-        assert scaled == pytest.approx(raw, abs=0)  # 4 * 0.25 == 1
-        with pytest.raises(ConfigurationError):
-            empirical_covariance(nets, X, "four_sigma2")
 
 
 class TestShrink:
@@ -168,18 +160,12 @@ class TestCholeskyWithJitter:
 
 
 class TestNullSample:
-    def test_forced_argmax_selection(self):
-        X = np.random.default_rng(7).uniform(-1, 1, (20, 2))
-        nets = [constant_net(2, 1.0), constant_net(2, 2.0)]
-
-        class StubRng:
-            def standard_normal(self, m):
-                return np.array([0.1, 5.0])
-
-        cov = CovMatrix(np.eye(2), chol_factor=np.eye(2))
-        cached = np.array([10.0, 20.0])
-        out = null_sample(nets, cov, X, 0, StubRng(), cached_stats=cached)
-        assert out == 20.0
+    def test_index_is_argmax_of_seeded_draw(self):
+        chol = np.linalg.cholesky(np.eye(6) + 0.3)
+        idx = _selection_indices(chol, 21, 50)
+        for t, k in enumerate(idx):
+            g = np.random.Generator(np.random.PCG64(_draw_seed(21, t))).standard_normal(6)
+            assert k == np.argmax(chol @ g)
 
     def test_argmax_invariance_shift_and_scale(self):
         rng = np.random.default_rng(8)
@@ -191,42 +177,10 @@ class TestNullSample:
 
     def test_identity_covariance_selection_uniform(self):
         m = 5
-        cov = CovMatrix(np.eye(m), chol_factor=np.eye(m))
-        rng = np.random.default_rng(9)
-        counts = np.zeros(m)
-        cached = np.arange(m, dtype=float)
-        for _ in range(10_000):
-            idx = int(null_sample([None] * m, cov, None, 0, rng, cached_stats=cached))
-            counts[idx] += 1
+        counts = np.bincount(_selection_indices(np.eye(m), 9, 10_000), minlength=m)
         expected = 10_000 / m
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 13.2767  # chi-square 99th percentile, 4 dof
-
-
-class TestAdaptiveM:
-    def test_no_change_keeps_m(self):
-        cov = CovMatrix(np.eye(3))
-        assert adaptive_m(cov, cov, 100, 0.1, 1000) == 100
-
-    def test_paper_arithmetic(self):
-        prev = CovMatrix(np.zeros((2, 2)))
-        cur = CovMatrix(np.array([[0.3, 0.0], [0.0, 0.4]]))  # frobenius 0.5
-        assert adaptive_m(prev, cur, 100, 0.1, 1000) == 105
-
-    def test_alpha_zero_constant(self):
-        prev = CovMatrix(np.zeros((2, 2)))
-        cur = CovMatrix(np.full((2, 2), 9.0))
-        assert adaptive_m(prev, cur, 50, 0.0, 1000) == 50
-
-    def test_cap_respected(self):
-        prev = CovMatrix(np.zeros((2, 2)))
-        cur = CovMatrix(np.full((2, 2), 100.0))
-        assert adaptive_m(prev, cur, 100, 1.0, 120) == 120
-
-    def test_common_leading_submatrix(self):
-        prev = CovMatrix(np.eye(2))
-        cur = CovMatrix(np.eye(4))  # leading 2x2 identical
-        assert adaptive_m(prev, cur, 10, 5.0, 1000) == 10
 
 
 class TestPValue:
@@ -251,25 +205,13 @@ class TestNullDistribution:
         samples, _ = null_distribution(fitted, ds, 0, NullConfig(m=10, n_p=50, seed=3))
         assert all(v >= 0 for v in samples)
 
-    def test_np1_equals_single_sample(self, small_fitted):
+    def test_samples_are_selected_statistics(self, small_fitted):
         fitted, ds = small_fitted
-        cfg = NullConfig(m=10, n_p=1, seed=5)
-        samples, _ = null_distribution(fitted, ds, 0, cfg)
-
-        from nnsig.nulldist import _draw_seed, _prepare_null
-        from nnsig.significance import empirical_test_statistic
-
-        nets, cov, _ = _prepare_null(fitted, ds.X, cfg)
-        rng = np.random.Generator(np.random.PCG64(_draw_seed(cfg.seed, 0)))
-        single = null_sample(nets, cov, ds.X, 0, rng)
-        assert samples[0] == single
-
-    def test_deterministic_across_workers(self, small_fitted):
-        fitted, ds = small_fitted
-        cfg = NullConfig(m=10, n_p=40, seed=7)
-        serial, _ = null_distribution(fitted, ds, 0, cfg, workers=1)
-        parallel, _ = null_distribution(fitted, ds, 0, cfg, workers=4)
-        assert serial == parallel
+        cfg = NullConfig(m=10, n_p=40, seed=5)
+        samples, idx = null_distribution(fitted, ds, 0, cfg)
+        nets, cov = _prepare_null(fitted, ds.X, cfg)
+        assert np.array_equal(idx, _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p))
+        assert samples == [empirical_test_statistic(nets[k], ds.X, 0).normalized for k in idx]
 
     def test_deterministic_across_runs(self, small_fitted):
         fitted, ds = small_fitted
@@ -277,13 +219,6 @@ class TestNullDistribution:
         a, _ = null_distribution(fitted, ds, 0, cfg)
         b, _ = null_distribution(fitted, ds, 0, cfg)
         assert a == b
-
-    def test_adaptive_loop_terminates(self, small_fitted):
-        fitted, ds = small_fitted
-        cfg = NullConfig(m=10, n_p=5, seed=9, alpha_adapt=0.5, m_max=40, adapt_tol=0.01)
-        samples, m_final = null_distribution(fitted, ds, 0, cfg)
-        assert len(samples) == 5
-        assert 10 <= m_final <= 40
 
 
 class TestSignificanceTest:
@@ -323,7 +258,5 @@ class TestSignificanceTest:
             NullConfig(m=1)
         with pytest.raises(ConfigurationError):
             NullConfig(lambda_shrink=2.0)
-        with pytest.raises(ConfigurationError):
-            NullConfig(m=100, m_max=50)
         with pytest.raises(ConfigurationError):
             NullConfig(sigma_scale="nope")
