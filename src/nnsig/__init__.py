@@ -28,6 +28,7 @@ from .network import (
     input_gradient_batch,
     linear_network,
     load,
+    output_and_gradient,
     save,
     second_moment,
 )
@@ -42,6 +43,7 @@ from .nulldist import (
     sample_networks,
     shrink,
     significance_test,
+    significance_tests,
 )
 from .significance import (
     RateConstants,

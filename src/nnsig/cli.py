@@ -22,7 +22,7 @@ from .data import Dataset, TargetSpec, generate, load_csv, save_csv
 from .exceptions import ConfigurationError, InputError, NumericalError
 from .diagnostics import approximation_rate_experiment, complexity_scaling_experiment
 from .network import load as load_network, save as save_network
-from .nulldist import NullConfig, significance_test
+from .nulldist import NullConfig, significance_tests
 from .significance import RateConstants, StatConfig
 from .training import ArchSpec, TrainConfig, fit_least_squares, quadratic_loss
 
@@ -46,6 +46,33 @@ def _load_config(path, seed_override=None, out_override=None) -> dict:
     return cfg
 
 
+def _value(section: dict, key: str, kind, default=None):
+    """``section[name]`` converted by ``kind``, where ``name`` is the last part
+    of the dotted ``key``; ``default`` stands in for a missing entry, and
+    ``None`` makes the entry required. Errors name the dotted key."""
+    name = key.rpartition(".")[2]
+    if name not in section and default is None:
+        raise ConfigurationError(f"{key}: missing")
+    raw = section.get(name, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
+def _int_list(values) -> list:
+    return [int(v) for v in values]
+
+
+def _section(cfg: dict, key: str) -> dict:
+    section = cfg.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{key}: expected a JSON object, got {section!r}")
+    return section
+
+
 def _out_path(cfg: dict, key: str, default: str) -> Path:
     out = cfg.get("output", {})
     base = Path(out.get("dir", "."))
@@ -62,11 +89,11 @@ def _target_spec(gen: dict) -> TargetSpec:
         return TargetSpec(
             kind=kind,
             beta=tuple(gen["beta"]) if "beta" in gen else None,
-            intercept=float(gen.get("intercept", 0.0)),
+            intercept=_value(gen, "data.generator.intercept", float, 0.0),
             frequency=tuple(gen["frequency"]) if "frequency" in gen else None,
             base=base,
             dead_index=gen.get("dead_index"),
-            noise_sigma=float(gen.get("noise_sigma", 0.0)),
+            noise_sigma=_value(gen, "data.generator.noise_sigma", float, 0.0),
         )
     except (TypeError, KeyError) as exc:
         raise ConfigurationError(f"bad generator section: {exc}") from None
@@ -83,37 +110,34 @@ def _dataset_from_config(cfg: dict) -> Dataset:
     if has_path:
         return load_csv(data["path"], data.get("target_column", "y"))
     gen = data["generator"]
-    n = gen.get("n")
-    d = gen.get("d")
-    if n is None or d is None:
-        raise ConfigurationError("data.generator needs 'n' and 'd'")
-    return generate(_target_spec(gen), int(n), int(d), int(cfg["seed"]))
+    if not isinstance(gen, dict):
+        raise ConfigurationError(f"data.generator: expected a JSON object, got {gen!r}")
+    return generate(_target_spec(gen), _value(gen, "data.generator.n", int),
+                    _value(gen, "data.generator.d", int), _value(cfg, "seed", int))
 
 
 def _arch_spec(cfg: dict) -> ArchSpec:
-    arch = cfg.get("architecture", {})
-    width = arch.get("width", "auto")
-    if width == "auto":
-        width = None
+    arch = _section(cfg, "architecture")
+    auto = arch.get("width", "auto") in ("auto", None)
     return ArchSpec(
-        depth=int(arch.get("depth", 2)),
-        width=None if width is None else int(width),
+        depth=_value(arch, "architecture.depth", int, 2),
+        width=None if auto else _value(arch, "architecture.width", int),
         activation=arch.get("activation", "sigmoid"),
-        width_c=float(arch.get("width_c", 1.0)),
+        width_c=_value(arch, "architecture.width_c", float, 1.0),
     )
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    tr = cfg.get("training", {})
+    tr = _section(cfg, "training")
     return TrainConfig(
-        epochs=int(tr.get("epochs", 300)),
-        batch_size=int(tr.get("batch_size", 64)),
-        learning_rate=float(tr.get("learning_rate", 0.5)),
-        lr_decay=float(tr.get("lr_decay", 0.999)),
-        seed=int(tr.get("seed", cfg["seed"])),
-        tolerance=float(tr.get("tolerance", 1e-8)),
-        max_grad_norm=float(tr.get("max_grad_norm", 10.0)),
-        moment_bound=float(tr.get("moment_bound", 100.0)),
+        epochs=_value(tr, "training.epochs", int, 300),
+        batch_size=_value(tr, "training.batch_size", int, 64),
+        learning_rate=_value(tr, "training.learning_rate", float, 0.5),
+        lr_decay=_value(tr, "training.lr_decay", float, 0.999),
+        seed=_value(tr, "training.seed", int, _value(cfg, "seed", int)),
+        tolerance=_value(tr, "training.tolerance", float, 1e-8),
+        max_grad_norm=_value(tr, "training.max_grad_norm", float, 10.0),
+        moment_bound=_value(tr, "training.moment_bound", float, 100.0),
     )
 
 
@@ -124,25 +148,22 @@ def _stat_config(test: dict) -> StatConfig:
         raw = test.get("rate_constants")
         if not isinstance(raw, dict):
             raise ConfigurationError("rate normalization requires test.rate_constants")
-        try:
-            rc = RateConstants(
-                h_n=int(raw["h_n"]),
-                lipschitz=float(raw["lipschitz"]),
-                depth=int(raw["depth"]),
-                s_over_d=float(raw["s_over_d"]),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"rate_constants missing {exc}") from None
+        rc = RateConstants(
+            h_n=_value(raw, "test.rate_constants.h_n", int),
+            lipschitz=_value(raw, "test.rate_constants.lipschitz", float),
+            depth=_value(raw, "test.rate_constants.depth", int),
+            s_over_d=_value(raw, "test.rate_constants.s_over_d", float),
+        )
     return StatConfig(normalization_mode=mode, rate_constants=rc)
 
 
 def _null_config(test: dict, master_seed: int) -> NullConfig:
     return NullConfig(
-        m=int(test.get("m", 200)),
-        n_p=int(test.get("n_p", 1000)),
-        lambda_shrink=float(test.get("lambda_shrink", 0.0)),
+        m=_value(test, "test.m", int, 200),
+        n_p=_value(test, "test.n_p", int, 1000),
+        lambda_shrink=_value(test, "test.lambda_shrink", float, 0.0),
         sigma_scale=test.get("sigma_scale", "raw"),
-        seed=int(test.get("seed", master_seed)),
+        seed=_value(test, "test.seed", int, master_seed),
     )
 
 
@@ -159,6 +180,14 @@ def _fitted_summary(fitted) -> dict:
             "bound_m": fitted.moment.bound_m,
             "satisfied": fitted.moment.satisfied,
         },
+    }
+
+
+def _null_summary(null) -> dict:
+    return {
+        "jitter_used": null.jitter_used,
+        "distinct_selected": null.distinct_selected,
+        "ess": null.ess,
     }
 
 
@@ -208,7 +237,7 @@ def cmd_train(cfg: dict) -> int:
 def cmd_test(cfg: dict) -> int:
     t0 = time.perf_counter()
     dataset = _dataset_from_config(cfg)
-    test = cfg.get("test", {})
+    test = _section(cfg, "test")
 
     model_path = _out_path(cfg, "model", "model.nnsig")
     if model_path.is_file():
@@ -233,6 +262,10 @@ def cmd_test(cfg: dict) -> int:
     variables = test.get("variables")
     if variables is None:
         variables = list(range(dataset.d))
+    if not isinstance(variables, list):
+        raise ConfigurationError(
+            f"test.variables: expected a list of integers, got {variables!r}"
+        )
     for j in variables:
         if isinstance(j, bool) or not isinstance(j, int):
             raise ConfigurationError(f"test.variables entry {j!r} is not an integer")
@@ -240,11 +273,12 @@ def cmd_test(cfg: dict) -> int:
             raise ConfigurationError(f"variable index {j} out of range for d={dataset.d}")
 
     stat_cfg = _stat_config(test)
-    null_cfg = _null_config(test, int(cfg["seed"]))
+    null_cfg = _null_config(test, _value(cfg, "seed", int))
 
+    tested = significance_tests(fitted, dataset, variables, null_cfg, stat_cfg)
     results = []
-    for j in variables:
-        res = significance_test(fitted, dataset, j, null_cfg, stat_cfg)
+    for res in tested:
+        j = res.variable_index
         entry = {
             "variable_index": res.variable_index,
             "observed_raw": res.observed.raw,
@@ -275,6 +309,7 @@ def cmd_test(cfg: dict) -> int:
             "glorot_truncation": "plus_minus_2_sigma_resample",
         },
         "results": results,
+        "null": _null_summary(tested[0].null) if tested else None,
         "timings": {"wall_seconds": time.perf_counter() - t0},
     }
     report_path = _out_path(cfg, "report", "report.json")
@@ -287,22 +322,23 @@ def cmd_test(cfg: dict) -> int:
 
 def cmd_diagnose(cfg: dict) -> int:
     t0 = time.perf_counter()
-    diag = cfg.get("diagnostics", {})
+    diag = _section(cfg, "diagnostics")
     out = {}
-    seed = int(cfg["seed"])
+    seed = _value(cfg, "seed", int)
 
-    comp = diag.get("complexity")
+    comp = _section(diag, "complexity")
     if comp:
-        width = int(comp.get("width", 8))
-        depth = int(comp.get("depth", 2))
-        d = int(comp.get("d", 3))
+        key = "diagnostics.complexity."
+        width = _value(comp, key + "width", int, 8)
+        depth = _value(comp, key + "depth", int, 2)
+        d = _value(comp, key + "d", int, 3)
         dims = (d,) + (width,) * depth + (1,)
         report = complexity_scaling_experiment(
             dims,
-            [int(v) for v in comp.get("n_list", [250, 1000, 4000])],
+            _value(comp, key + "n_list", _int_list, [250, 1000, 4000]),
             seed,
-            n_eps=int(comp.get("n_eps", 200)),
-            n_class=int(comp.get("n_class", 50)),
+            n_eps=_value(comp, key + "n_eps", int, 200),
+            n_class=_value(comp, key + "n_class", int, 50),
             activation=comp.get("activation", "sigmoid"),
         )
         out["complexity"] = {
@@ -317,31 +353,33 @@ def cmd_diagnose(cfg: dict) -> int:
             for x, e in zip(report.x_values, report.errors):
                 fh.write(f"{x},{e!r}\n")
 
-    approx = diag.get("approximation")
+    approx = _section(diag, "approximation")
     if approx:
-        d = int(approx.get("d", 2))
+        key = "diagnostics.approximation."
+        d = _value(approx, key + "d", int, 2)
         spec = TargetSpec(
             kind="smooth_sin",
             frequency=tuple(approx.get("frequency", [1.0] + [0.0] * (d - 1))),
             noise_sigma=0.0,
         )
-        tr = approx.get("training", {})
+        tr = _section(approx, "training")
+        key_tr = key + "training."
         train_cfg = TrainConfig(
-            epochs=int(tr.get("epochs", 5000)),
-            batch_size=int(tr.get("batch_size", 256)),
-            learning_rate=float(tr.get("learning_rate", 0.05)),
-            lr_decay=float(tr.get("lr_decay", 0.9995)),
-            tolerance=float(tr.get("tolerance", 1e-6)),
-            early_stop_window=int(tr.get("early_stop_window", 100)),
+            epochs=_value(tr, key_tr + "epochs", int, 5000),
+            batch_size=_value(tr, key_tr + "batch_size", int, 256),
+            learning_rate=_value(tr, key_tr + "learning_rate", float, 0.05),
+            lr_decay=_value(tr, key_tr + "lr_decay", float, 0.9995),
+            tolerance=_value(tr, key_tr + "tolerance", float, 1e-6),
+            early_stop_window=_value(tr, key_tr + "early_stop_window", int, 100),
             seed=seed,
         )
         report = approximation_rate_experiment(
             spec,
-            [int(v) for v in approx.get("widths", [4, 8, 16, 32])],
-            int(approx.get("n", 4000)),
+            _value(approx, key + "widths", _int_list, [4, 8, 16, 32]),
+            _value(approx, key + "n", int, 4000),
             train_cfg,
             seed,
-            depth=int(approx.get("depth", 2)),
+            depth=_value(approx, key + "depth", int, 2),
             activation=approx.get("activation", "tanh"),
             d=d,
         )

@@ -16,33 +16,35 @@ from .exceptions import ConfigurationError, FormatError, InputError
 
 MAGIC = b"NNSIG1"
 
-# activation name -> (function, derivative, Lipschitz constant)
-_ACTIVATIONS = {
-    "relu": (
-        lambda z: np.maximum(z, 0.0),
-        lambda z: np.where(z > 0.0, 1.0, 0.0),  # derivative at 0 fixed to 0
-        1.0,
-    ),
-    "tanh": (
-        np.tanh,
-        lambda z: 1.0 - np.tanh(z) ** 2,
-        1.0,
-    ),
-    "sigmoid": (
-        lambda z: _stable_sigmoid(z),
-        lambda z: _stable_sigmoid(z) * (1.0 - _stable_sigmoid(z)),
-        0.25,
-    ),
-}
-
 
 def _stable_sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+exp(-z)) without overflow: exp(-|z|) is exp(-z) for z >= 0 and
+    exp(z) otherwise, so both branches come from one exp."""
+    ez = np.exp(-np.abs(z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
+
+
+def _relu_pair(z):
+    return np.maximum(z, 0.0), np.where(z > 0.0, 1.0, 0.0)  # derivative at 0 fixed to 0
+
+
+def _tanh_pair(z):
+    t = np.tanh(z)
+    return t, 1.0 - t ** 2
+
+
+def _sigmoid_pair(z):
+    s = _stable_sigmoid(z)
+    return s, s * (1.0 - s)
+
+
+# activation name -> (function, (value, derivative) pair, Lipschitz constant)
+_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), _relu_pair, 1.0),
+    "tanh": (np.tanh, _tanh_pair, 1.0),
+    "sigmoid": (_stable_sigmoid, _sigmoid_pair, 0.25),
+}
 
 
 def activation_lipschitz(name: str) -> float:
@@ -197,27 +199,33 @@ def forward(net: Network, x) -> float:
     return float(forward_batch(net, x[None, :])[0])
 
 
-def input_gradient_batch(net: Network, X) -> np.ndarray:
-    """Gradient of the output with respect to the input, per row; shape (n, d).
+def output_and_gradient(net: Network, X):
+    """Outputs (n,) and input gradients (n, d) from one pass over the layers.
 
-    Reverse accumulation through the layer recursion; exact for smooth
+    The outputs equal ``forward_batch(net, X)`` bit for bit. Gradients use
+    reverse accumulation through the layer recursion; exact for smooth
     activations, subgradient with psi'(0) = 0 for relu.
     """
     X = _check_input(net, X)
-    psi, dpsi, _ = _ACTIVATIONS[net.activation]
+    pair = _ACTIVATIONS[net.activation][1]
     a = X
     derivs = []
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w.T + b
-        derivs.append(dpsi(z))
-        a = psi(z)
+        a, dz = pair(a @ w.T + b)
+        derivs.append(dz)
+    out = (a @ net.weights[-1].T + net.biases[-1])[:, 0]
     # J starts as d out / d a_L, shape (n, width_L)
     j = np.broadcast_to(net.weights[-1][0], (X.shape[0], net.weights[-1].shape[1]))
     if not derivs:  # no hidden layer: purely affine
-        return j.copy()
+        return out, j.copy()
     for l in range(len(derivs) - 1, -1, -1):
         j = (j * derivs[l]) @ net.weights[l]
-    return j
+    return out, j
+
+
+def input_gradient_batch(net: Network, X) -> np.ndarray:
+    """Gradient of the output with respect to the input, per row; shape (n, d)."""
+    return output_and_gradient(net, X)[1]
 
 
 def input_gradient(net: Network, x) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Monte-Carlo null distribution of the squared-gradient statistic.
 
-Pipeline per tested variable:
+Pipeline, run once and shared by every tested variable:
   1. sample m networks with the fitted architecture from the truncated
-     Glorot distribution;
+     Glorot distribution, and evaluate each one once for its outputs and
+     its gradient statistics of all d variables;
   2. form the Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i),
      optionally shrink it toward its diagonal, and factorize it;
-  3. repeatedly draw a centered multivariate normal, pick the network at
-     the argmax coordinate, and record that network's gradient statistic.
+  3. repeatedly draw a centered multivariate normal and pick the network at
+     the argmax coordinate; the null samples of variable j are the selected
+     networks' statistics of variable j.
 
 RNG scheme (documented contract): with master seed s, network k uses
 SeedSequence(s, spawn_key=(0, k)) and normal draw t uses
@@ -16,13 +18,19 @@ replication order, and the first k networks do not depend on m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericalError
-from .network import forward_batch, init_glorot
-from .significance import StatConfig, VariableStatistic, empirical_test_statistic
+from .exceptions import ConfigurationError, InputError, NumericalError
+from .network import forward_batch, init_glorot, output_and_gradient
+from .significance import (
+    StatConfig,
+    VariableStatistic,
+    all_statistics,
+    normalization_factor,
+)
 from .training import FittedModel
 
 
@@ -58,6 +66,29 @@ class CovMatrix:
         return self.entries.shape[0]
 
 
+@dataclass(eq=False)  # compared by identity: array fields have no single truth value
+class SharedNull:
+    """The null of one run: what steps 1-3 produce for every variable at once."""
+
+    stats: np.ndarray  # (m, d) normalized statistic of each sampled network
+    idx: np.ndarray  # (n_p,) network selected by each draw
+    jitter_used: float
+
+    def samples(self, j: int) -> list:
+        """The n_p null samples of variable j."""
+        return self.stats[self.idx, j].tolist()
+
+    @property
+    def distinct_selected(self) -> int:
+        return int(np.count_nonzero(np.bincount(self.idx)))
+
+    @property
+    def ess(self) -> float:
+        """Effective sample size 1/sum(p^2) of the selection frequencies p."""
+        counts = np.bincount(self.idx).tolist()
+        return len(self.idx) ** 2 / sum(c * c for c in counts)
+
+
 @dataclass
 class TestResult:
     variable_index: int
@@ -65,6 +96,7 @@ class TestResult:
     null_samples: list
     p_value: float
     seed: int
+    null: SharedNull  # the same object for every variable of a run
 
 
 def _net_seed(master: int, k: int) -> np.random.SeedSequence:
@@ -82,14 +114,17 @@ def sample_networks(m: int, layer_dims, activation: str, seed: int) -> list:
     return [init_glorot(layer_dims, activation, _net_seed(seed, k)) for k in range(m)]
 
 
+def _gram(outputs: np.ndarray) -> CovMatrix:
+    """S = outputs @ outputs.T / n for network outputs of shape (m, n)."""
+    s = outputs @ outputs.T / outputs.shape[1]
+    s = (s + s.T) / 2.0
+    return CovMatrix(entries=s)
+
+
 def empirical_covariance(nets, X) -> CovMatrix:
     """Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i)."""
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    outputs = np.stack([forward_batch(f, X) for f in nets])  # (m, n)
-    s = outputs @ outputs.T / n
-    s = (s + s.T) / 2.0
-    return CovMatrix(entries=s)
+    return _gram(np.stack([forward_batch(f, X) for f in nets]))  # (m, n)
 
 
 def shrink(cov: CovMatrix, lam: float) -> CovMatrix:
@@ -124,18 +159,6 @@ def cholesky_with_jitter(cov: CovMatrix) -> CovMatrix:
     )
 
 
-def _prepare_null(fitted: FittedModel, X, cfg: NullConfig):
-    """Sample cfg.m networks and factorize their (shrunk) covariance.
-
-    Returns (nets, factorized CovMatrix).
-    """
-    nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
-    cov = empirical_covariance(nets, X)
-    if cfg.lambda_shrink > 0.0:
-        cov = shrink(cov, cfg.lambda_shrink)
-    return nets, cholesky_with_jitter(cov)
-
-
 def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
     """Argmax coordinate (lowest index on ties) of each of n_p draws chol @ g_t."""
     m = chol.shape[0]
@@ -143,21 +166,46 @@ def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
     return np.array([np.argmax(chol @ rng.standard_normal(m)) for rng in rngs], dtype=np.intp)
 
 
+def build_null(fitted: FittedModel, X, cfg: NullConfig,
+               stat_cfg: StatConfig = StatConfig()) -> SharedNull:
+    """Steps 1-3 once: one fused pass per sampled network, one factorization,
+    one set of selections.
+
+    Each statistic is summed with math.fsum, as ``all_statistics`` sums the
+    fitted network's, so both are exactly rounded.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
+    u = normalization_factor(stat_cfg, n)
+    outputs = np.empty((cfg.m, n))
+    stats = np.empty((cfg.m, d))
+    for k, f in enumerate(nets):
+        outputs[k], g = output_and_gradient(f, X)
+        stats[k] = [math.fsum(col) / n / (u * u) for col in (g * g).T.tolist()]
+    cov = _gram(outputs)
+    if cfg.lambda_shrink > 0.0:
+        cov = shrink(cov, cfg.lambda_shrink)
+    cov = cholesky_with_jitter(cov)
+    idx = _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p)
+    return SharedNull(stats=stats, idx=idx, jitter_used=cov.jitter_used)
+
+
+def _check_variables(variables, d: int) -> None:
+    for j in variables:
+        if not (0 <= j < d):
+            raise InputError(f"variable index {j} out of range for dimension {d}")
+
+
 def null_distribution(fitted: FittedModel, dataset, j: int, cfg: NullConfig,
                       stat_cfg: StatConfig = StatConfig()):
     """n_p null statistics for variable j; returns (samples, idx).
 
-    ``idx`` holds the index of the sampled network each draw selected. Each
-    network's gradient statistic is computed once; the Gaussian draws only
-    select indices.
+    ``idx`` holds the index of the sampled network each draw selected.
     """
-    X = np.asarray(dataset.X, dtype=np.float64)
-    nets, cov = _prepare_null(fitted, X, cfg)
-    cached = np.array(
-        [empirical_test_statistic(f, X, j, stat_cfg).normalized for f in nets]
-    )
-    idx = _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p)
-    return cached[idx].tolist(), idx
+    _check_variables([j], fitted.net.input_dim)
+    null = build_null(fitted, dataset.X, cfg, stat_cfg)
+    return null.samples(j), null.idx
 
 
 def p_value_from_null(observed_normalized: float, null_samples) -> float:
@@ -167,16 +215,35 @@ def p_value_from_null(observed_normalized: float, null_samples) -> float:
     return (1 + count) / (n_p + 1)
 
 
+def significance_tests(fitted: FittedModel, dataset, variables, cfg: NullConfig,
+                       stat_cfg: StatConfig = StatConfig()) -> list[TestResult]:
+    """Full tests of the given variables against one shared null.
+
+    Returns one TestResult per entry of ``variables``, in order; the results
+    are those ``significance_test`` gives for each variable alone.
+    """
+    variables = list(variables)
+    _check_variables(variables, fitted.net.input_dim)
+    if not variables:
+        return []
+    X = np.asarray(dataset.X, dtype=np.float64)
+    observed = all_statistics(fitted.net, X, stat_cfg)
+    null = build_null(fitted, X, cfg, stat_cfg)
+    results = []
+    for j in variables:
+        samples = null.samples(j)
+        results.append(TestResult(
+            variable_index=j,
+            observed=observed[j],
+            null_samples=samples,
+            p_value=p_value_from_null(observed[j].normalized, samples),
+            seed=cfg.seed,
+            null=null,
+        ))
+    return results
+
+
 def significance_test(fitted: FittedModel, dataset, j: int, cfg: NullConfig,
                       stat_cfg: StatConfig = StatConfig()) -> TestResult:
     """Full test for variable j: observed statistic, null samples, p-value."""
-    X = np.asarray(dataset.X, dtype=np.float64)
-    observed = empirical_test_statistic(fitted.net, X, j, stat_cfg)
-    null_samples, _ = null_distribution(fitted, dataset, j, cfg, stat_cfg)
-    return TestResult(
-        variable_index=j,
-        observed=observed,
-        null_samples=null_samples,
-        p_value=p_value_from_null(observed.normalized, null_samples),
-        seed=cfg.seed,
-    )
+    return significance_tests(fitted, dataset, [j], cfg, stat_cfg)[0]

@@ -91,8 +91,9 @@ def width_schedule(n: int, depth: int = 2, lipschitz_l: float = 1.0, c: float = 
     return max(2, math.ceil(c * n ** 0.25))
 
 
-def _batch_gradients(weights, biases, psi, dpsi, xb, yb):
-    """Backprop for the mean 0.5*(y - f)^2 over one batch.
+def _batch_gradients(weights, biases, pair, xb, yb):
+    """Backprop for the mean 0.5*(y - f)^2 over one batch; ``pair(z)`` returns
+    the activation and its derivative.
 
     Returns (grads_w, grads_b, sq_norm) with the squared global gradient norm.
     """
@@ -100,9 +101,8 @@ def _batch_gradients(weights, biases, psi, dpsi, xb, yb):
     derivs = []
     a = xb
     for w, b in zip(weights[:-1], biases[:-1]):
-        z = a @ w.T + b
-        derivs.append(dpsi(z))
-        a = psi(z)
+        a, dz = pair(a @ w.T + b)
+        derivs.append(dz)
         acts.append(a)
     out = (a @ weights[-1].T + biases[-1])[:, 0]
     e = (out - yb) / len(yb)
@@ -148,7 +148,7 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
     net0 = init_glorot(dims, arch_spec.activation, init_ss)
     weights = [w.copy() for w in net0.weights]
     biases = [b.copy() for b in net0.biases]
-    psi, dpsi, _ = _ACTIVATIONS[arch_spec.activation]
+    pair = _ACTIVATIONS[arch_spec.activation][1]
 
     rng = np.random.Generator(np.random.PCG64(shuffle_ss))
     lr = cfg.learning_rate
@@ -158,7 +158,7 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            gw, gb, sq = _batch_gradients(weights, biases, psi, dpsi, X[idx], y[idx])
+            gw, gb, sq = _batch_gradients(weights, biases, pair, X[idx], y[idx])
             if not np.isfinite(sq):
                 raise DivergenceError(
                     f"non-finite gradient at epoch {epoch}, learning rate {lr:.6g}"

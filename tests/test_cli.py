@@ -157,6 +157,24 @@ class TestTestCommand:
         b = json.loads((tmp_path / "parallel" / "report.json").read_text())
         assert a["results"] == b["results"]
 
+    def test_one_null_per_run(self, tmp_path, monkeypatch):
+        import nnsig.nulldist
+
+        calls = []
+        sample = nnsig.nulldist.sample_networks
+        monkeypatch.setattr(nnsig.nulldist, "sample_networks",
+                            lambda *args: calls.append(args) or sample(*args))
+        cfg = base_config(tmp_path, d=3, beta=(1.0, 0.0, 0.5))
+        report = self.run_test(tmp_path, cfg)
+        assert [r["variable_index"] for r in report["results"]] == [0, 1, 2]
+        assert len(calls) == 1
+
+    def test_null_summary(self, tmp_path):
+        cfg = base_config(tmp_path)
+        null = self.run_test(tmp_path, cfg)["null"]
+        assert null["jitter_used"] >= 0.0
+        assert 1.0 <= null["ess"] <= null["distinct_selected"] <= cfg["test"]["m"]
+
     def test_variable_subset_and_sidecar(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg["test"]["variables"] = [1]
@@ -208,6 +226,15 @@ class TestConfigErrors:
         cfg = base_config(tmp_path)
         cfg["data"] = {}
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_bad_value_type_names_key(self, tmp_path, capsys):
+        cases = (("training", "epochs", "x"), ("test", "m", "ten"), ("test", "variables", 5))
+        for section, key, bad in cases:
+            cfg = base_config(tmp_path)
+            cfg[section][key] = bad
+            assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+            err = capsys.readouterr().err
+            assert f"{section}.{key}" in err and "Traceback" not in err
 
     def test_bad_csv_exit_code(self, tmp_path):
         data = tmp_path / "bad.csv"

@@ -6,6 +6,7 @@ import pytest
 from nnsig.exceptions import ConfigurationError, FormatError, InputError
 from nnsig.network import (
     Network,
+    _stable_sigmoid,
     forward,
     forward_batch,
     glorot_sigma,
@@ -14,6 +15,7 @@ from nnsig.network import (
     input_gradient_batch,
     linear_network,
     load,
+    output_and_gradient,
     save,
     second_moment,
 )
@@ -25,6 +27,31 @@ def truncated_normal_std(sigma, a=2.0):
     big_phi = 0.5 * (1.0 + math.erf(a / math.sqrt(2.0)))
     var = sigma * sigma * (1.0 - 2.0 * a * phi / (2.0 * big_phi - 1.0))
     return math.sqrt(var)
+
+
+def two_branch_sigmoid(z):
+    """Sigmoid with one exp per sign branch, the formula _stable_sigmoid must match."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestActivations:
+    def test_stable_sigmoid_bitwise_equals_two_branch_formula(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 1e3, -1e3])
+        z = np.concatenate([special, np.random.default_rng(5).normal(0.0, 20.0, 10_000)])
+        assert _stable_sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_fused_output_bitwise_equals_forward_batch(self, activation):
+        net = init_glorot((3, 6, 6, 1), activation, 4)
+        X = np.random.default_rng(6).uniform(-1, 1, (50, 3))
+        out, grad = output_and_gradient(net, X)
+        assert out.tobytes() == forward_batch(net, X).tobytes()
+        assert grad.shape == (50, 3)
 
 
 class TestInitGlorot:

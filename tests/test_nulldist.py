@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnsig.data import TargetSpec, generate
-from nnsig.exceptions import ConfigurationError, NumericalError
+from nnsig.exceptions import ConfigurationError, InputError, NumericalError
 from nnsig.network import Network, glorot_sigma, init_glorot
 from nnsig.nulldist import (
     CovMatrix,
     NullConfig,
     _draw_seed,
-    _prepare_null,
     _selection_indices,
     cholesky_with_jitter,
     empirical_covariance,
@@ -19,6 +18,7 @@ from nnsig.nulldist import (
     sample_networks,
     shrink,
     significance_test,
+    significance_tests,
 )
 from nnsig.significance import StatConfig, empirical_test_statistic
 from nnsig.training import ArchSpec, TrainConfig, fit_least_squares
@@ -209,7 +209,8 @@ class TestNullDistribution:
         fitted, ds = small_fitted
         cfg = NullConfig(m=10, n_p=40, seed=5)
         samples, idx = null_distribution(fitted, ds, 0, cfg)
-        nets, cov = _prepare_null(fitted, ds.X, cfg)
+        nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
+        cov = cholesky_with_jitter(empirical_covariance(nets, ds.X))
         assert np.array_equal(idx, _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p))
         assert samples == [empirical_test_statistic(nets[k], ds.X, 0).normalized for k in idx]
 
@@ -252,6 +253,29 @@ class TestSignificanceTest:
         )
         p_rate = significance_test(fitted, ds, 0, cfg, rate).p_value
         assert p_id == p_rate
+
+    def test_shared_null_matches_per_variable_tests(self):
+        spec = TargetSpec(kind="linear", beta=(1.0, 0.0, 0.5), noise_sigma=0.1)
+        ds = generate(spec, 300, 3, seed=17)
+        fitted = fit_least_squares(ds, ArchSpec(width=4), TrainConfig(seed=17, epochs=30))
+        cfg = NullConfig(m=15, n_p=80, seed=19)
+        shared = significance_tests(fitted, ds, [0, 1, 2], cfg)
+        assert [r.variable_index for r in shared] == [0, 1, 2]
+        for j, res in enumerate(shared):
+            alone = significance_test(fitted, ds, j, cfg)
+            assert res.variable_index == alone.variable_index
+            assert res.observed == alone.observed == empirical_test_statistic(fitted.net, ds.X, j)
+            assert res.null_samples == alone.null_samples
+            assert res.p_value == alone.p_value
+            assert res.seed == alone.seed
+            assert np.array_equal(res.null.idx, alone.null.idx)
+            assert res.null is shared[0].null
+
+    def test_variable_out_of_range(self, small_fitted):
+        fitted, ds = small_fitted
+        for bad in ([0, 2], [-1]):
+            with pytest.raises(InputError):
+                significance_tests(fitted, ds, bad, NullConfig(m=5, n_p=10))
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

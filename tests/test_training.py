@@ -76,9 +76,8 @@ class TestBatchGradientOracle:
 
         weights = [np.array([[w1v]]), np.array([[w2v]])]
         biases = [np.array([b1v]), np.array([b2v])]
-        psi = np.tanh
-        dpsi = lambda z: 1.0 - np.tanh(z) ** 2
-        gw, gb, _ = _batch_gradients(weights, biases, psi, dpsi,
+        pair = lambda z: (np.tanh(z), 1.0 - np.tanh(z) ** 2)
+        gw, gb, _ = _batch_gradients(weights, biases, pair,
                                      np.array([[xv]]), np.array([yv]))
         assert gw[0][0, 0] == pytest.approx(expected[w1s], abs=1e-10)
         assert gb[0][0] == pytest.approx(expected[b1s], abs=1e-10)
