@@ -24,6 +24,7 @@ from .diagnostics import approximation_rate_experiment, complexity_scaling_exper
 from .network import load as load_network, save as save_network
 from .nulldist import NullConfig, significance_tests
 from .significance import RateConstants, StatConfig
+from .timing import stage
 from .training import ArchSpec, TrainConfig, fit_least_squares, quadratic_loss
 
 
@@ -60,8 +61,16 @@ def _value(section: dict, key: str, kind, default=None):
         raise ConfigurationError(f"{key}: {exc}") from None
 
 
+def _integer(raw) -> int:
+    """``raw`` as an int; bools, strings and non-integral numbers are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
+            or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def _int_list(values) -> list:
-    return [int(v) for v in values]
+    return [_integer(v) for v in values]
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -112,16 +121,16 @@ def _dataset_from_config(cfg: dict) -> Dataset:
     gen = data["generator"]
     if not isinstance(gen, dict):
         raise ConfigurationError(f"data.generator: expected a JSON object, got {gen!r}")
-    return generate(_target_spec(gen), _value(gen, "data.generator.n", int),
-                    _value(gen, "data.generator.d", int), _value(cfg, "seed", int))
+    return generate(_target_spec(gen), _value(gen, "data.generator.n", _integer),
+                    _value(gen, "data.generator.d", _integer), _value(cfg, "seed", _integer))
 
 
 def _arch_spec(cfg: dict) -> ArchSpec:
     arch = _section(cfg, "architecture")
     auto = arch.get("width", "auto") in ("auto", None)
     return ArchSpec(
-        depth=_value(arch, "architecture.depth", int, 2),
-        width=None if auto else _value(arch, "architecture.width", int),
+        depth=_value(arch, "architecture.depth", _integer, 2),
+        width=None if auto else _value(arch, "architecture.width", _integer),
         activation=arch.get("activation", "sigmoid"),
         width_c=_value(arch, "architecture.width_c", float, 1.0),
     )
@@ -130,11 +139,11 @@ def _arch_spec(cfg: dict) -> ArchSpec:
 def _train_config(cfg: dict) -> TrainConfig:
     tr = _section(cfg, "training")
     return TrainConfig(
-        epochs=_value(tr, "training.epochs", int, 300),
-        batch_size=_value(tr, "training.batch_size", int, 64),
+        epochs=_value(tr, "training.epochs", _integer, 300),
+        batch_size=_value(tr, "training.batch_size", _integer, 64),
         learning_rate=_value(tr, "training.learning_rate", float, 0.5),
         lr_decay=_value(tr, "training.lr_decay", float, 0.999),
-        seed=_value(tr, "training.seed", int, _value(cfg, "seed", int)),
+        seed=_value(tr, "training.seed", _integer, _value(cfg, "seed", _integer)),
         tolerance=_value(tr, "training.tolerance", float, 1e-8),
         max_grad_norm=_value(tr, "training.max_grad_norm", float, 10.0),
         moment_bound=_value(tr, "training.moment_bound", float, 100.0),
@@ -149,9 +158,9 @@ def _stat_config(test: dict) -> StatConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError("rate normalization requires test.rate_constants")
         rc = RateConstants(
-            h_n=_value(raw, "test.rate_constants.h_n", int),
+            h_n=_value(raw, "test.rate_constants.h_n", _integer),
             lipschitz=_value(raw, "test.rate_constants.lipschitz", float),
-            depth=_value(raw, "test.rate_constants.depth", int),
+            depth=_value(raw, "test.rate_constants.depth", _integer),
             s_over_d=_value(raw, "test.rate_constants.s_over_d", float),
         )
     return StatConfig(normalization_mode=mode, rate_constants=rc)
@@ -159,11 +168,11 @@ def _stat_config(test: dict) -> StatConfig:
 
 def _null_config(test: dict, master_seed: int) -> NullConfig:
     return NullConfig(
-        m=_value(test, "test.m", int, 200),
-        n_p=_value(test, "test.n_p", int, 1000),
+        m=_value(test, "test.m", _integer, 200),
+        n_p=_value(test, "test.n_p", _integer, 1000),
         lambda_shrink=_value(test, "test.lambda_shrink", float, 0.0),
         sigma_scale=test.get("sigma_scale", "raw"),
-        seed=_value(test, "test.seed", int, master_seed),
+        seed=_value(test, "test.seed", _integer, master_seed),
     )
 
 
@@ -188,6 +197,8 @@ def _null_summary(null) -> dict:
         "jitter_used": null.jitter_used,
         "distinct_selected": null.distinct_selected,
         "ess": null.ess,
+        "top_share": null.top_share,
+        "rechecked_draws": null.rechecked_draws,
     }
 
 
@@ -236,28 +247,31 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_test(cfg: dict) -> int:
     t0 = time.perf_counter()
-    dataset = _dataset_from_config(cfg)
+    timings = {}
+    with stage(timings, "data"):
+        dataset = _dataset_from_config(cfg)
     test = _section(cfg, "test")
 
     model_path = _out_path(cfg, "model", "model.nnsig")
-    if model_path.is_file():
-        net = load_network(model_path)
-        if net.input_dim != dataset.d:
-            raise InputError(
-                f"model expects dimension {net.input_dim}, data has {dataset.d}"
+    with stage(timings, "fit"):
+        if model_path.is_file():
+            net = load_network(model_path)
+            if net.input_dim != dataset.d:
+                raise InputError(
+                    f"model expects dimension {net.input_dim}, data has {dataset.d}"
+                )
+            risk = quadratic_loss(net, dataset.X, dataset.y)
+            from .network import second_moment
+            from .training import FittedModel
+            fitted = FittedModel(
+                net=net,
+                train_loss_history=[risk],
+                final_empirical_risk=risk,
+                width_used=net.hidden_width,
+                moment=second_moment(net, dataset.X),
             )
-        risk = quadratic_loss(net, dataset.X, dataset.y)
-        from .network import second_moment
-        from .training import FittedModel
-        fitted = FittedModel(
-            net=net,
-            train_loss_history=[risk],
-            final_empirical_risk=risk,
-            width_used=net.hidden_width,
-            moment=second_moment(net, dataset.X),
-        )
-    else:
-        fitted = _fit(cfg, dataset)
+        else:
+            fitted = _fit(cfg, dataset)
 
     variables = test.get("variables")
     if variables is None:
@@ -273,7 +287,7 @@ def cmd_test(cfg: dict) -> int:
             raise ConfigurationError(f"variable index {j} out of range for d={dataset.d}")
 
     stat_cfg = _stat_config(test)
-    null_cfg = _null_config(test, _value(cfg, "seed", int))
+    null_cfg = _null_config(test, _value(cfg, "seed", _integer))
 
     tested = significance_tests(fitted, dataset, variables, null_cfg, stat_cfg)
     results = []
@@ -310,7 +324,8 @@ def cmd_test(cfg: dict) -> int:
         },
         "results": results,
         "null": _null_summary(tested[0].null) if tested else None,
-        "timings": {"wall_seconds": time.perf_counter() - t0},
+        "timings": {**timings, **(tested[0].null.timings if tested else {}),
+                    "wall_seconds": time.perf_counter() - t0},
     }
     report_path = _out_path(cfg, "report", "report.json")
     _write_json(report_path, report)
@@ -324,21 +339,21 @@ def cmd_diagnose(cfg: dict) -> int:
     t0 = time.perf_counter()
     diag = _section(cfg, "diagnostics")
     out = {}
-    seed = _value(cfg, "seed", int)
+    seed = _value(cfg, "seed", _integer)
 
     comp = _section(diag, "complexity")
     if comp:
         key = "diagnostics.complexity."
-        width = _value(comp, key + "width", int, 8)
-        depth = _value(comp, key + "depth", int, 2)
-        d = _value(comp, key + "d", int, 3)
+        width = _value(comp, key + "width", _integer, 8)
+        depth = _value(comp, key + "depth", _integer, 2)
+        d = _value(comp, key + "d", _integer, 3)
         dims = (d,) + (width,) * depth + (1,)
         report = complexity_scaling_experiment(
             dims,
             _value(comp, key + "n_list", _int_list, [250, 1000, 4000]),
             seed,
-            n_eps=_value(comp, key + "n_eps", int, 200),
-            n_class=_value(comp, key + "n_class", int, 50),
+            n_eps=_value(comp, key + "n_eps", _integer, 200),
+            n_class=_value(comp, key + "n_class", _integer, 50),
             activation=comp.get("activation", "sigmoid"),
         )
         out["complexity"] = {
@@ -356,7 +371,7 @@ def cmd_diagnose(cfg: dict) -> int:
     approx = _section(diag, "approximation")
     if approx:
         key = "diagnostics.approximation."
-        d = _value(approx, key + "d", int, 2)
+        d = _value(approx, key + "d", _integer, 2)
         spec = TargetSpec(
             kind="smooth_sin",
             frequency=tuple(approx.get("frequency", [1.0] + [0.0] * (d - 1))),
@@ -365,21 +380,21 @@ def cmd_diagnose(cfg: dict) -> int:
         tr = _section(approx, "training")
         key_tr = key + "training."
         train_cfg = TrainConfig(
-            epochs=_value(tr, key_tr + "epochs", int, 5000),
-            batch_size=_value(tr, key_tr + "batch_size", int, 256),
+            epochs=_value(tr, key_tr + "epochs", _integer, 5000),
+            batch_size=_value(tr, key_tr + "batch_size", _integer, 256),
             learning_rate=_value(tr, key_tr + "learning_rate", float, 0.05),
             lr_decay=_value(tr, key_tr + "lr_decay", float, 0.9995),
             tolerance=_value(tr, key_tr + "tolerance", float, 1e-6),
-            early_stop_window=_value(tr, key_tr + "early_stop_window", int, 100),
+            early_stop_window=_value(tr, key_tr + "early_stop_window", _integer, 100),
             seed=seed,
         )
         report = approximation_rate_experiment(
             spec,
             _value(approx, key + "widths", _int_list, [4, 8, 16, 32]),
-            _value(approx, key + "n", int, 4000),
+            _value(approx, key + "n", _integer, 4000),
             train_cfg,
             seed,
-            depth=_value(approx, key + "depth", int, 2),
+            depth=_value(approx, key + "depth", _integer, 2),
             activation=approx.get("activation", "tanh"),
             d=d,
         )

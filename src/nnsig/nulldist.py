@@ -31,7 +31,12 @@ from .significance import (
     all_statistics,
     normalization_factor,
 )
+from .timing import stage
 from .training import FittedModel
+
+# Draws per matrix product in _selection_indices; a fixed size, since the
+# selected indices do not depend on it.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,8 @@ class SharedNull:
     stats: np.ndarray  # (m, d) normalized statistic of each sampled network
     idx: np.ndarray  # (n_p,) network selected by each draw
     jitter_used: float
+    rechecked_draws: int  # draws the block product could not certify
+    timings: dict  # seconds of the stages sample, evaluate, cholesky, select
 
     def samples(self, j: int) -> list:
         """The n_p null samples of variable j."""
@@ -87,6 +94,11 @@ class SharedNull:
         """Effective sample size 1/sum(p^2) of the selection frequencies p."""
         counts = np.bincount(self.idx).tolist()
         return len(self.idx) ** 2 / sum(c * c for c in counts)
+
+    @property
+    def top_share(self) -> float:
+        """The largest selection frequency."""
+        return int(np.bincount(self.idx).max()) / len(self.idx)
 
 
 @dataclass
@@ -159,11 +171,55 @@ def cholesky_with_jitter(cov: CovMatrix) -> CovMatrix:
     )
 
 
-def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
-    """Argmax coordinate (lowest index on ties) of each of n_p draws chol @ g_t."""
+def _draw_rng(master: int, t: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_draw_seed(master, t)))
+
+
+def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
+    """``_selection_indices`` and the number of draws it recomputed one by one."""
     m = chol.shape[0]
-    rngs = (np.random.Generator(np.random.PCG64(_draw_seed(seed, t))) for t in range(n_p))
-    return np.array([np.argmax(chol @ rng.standard_normal(m)) for rng in rngs], dtype=np.intp)
+    unit = 2.0 ** -53
+    gamma = m * unit / (1.0 - m * unit)
+    margin = 8.0 * gamma * float(np.linalg.norm(chol, axis=1).max())
+    idx = np.empty(n_p, dtype=np.intp)
+    g = np.empty((min(_BLOCK, n_p), m))
+    rechecked = 0
+    for start in range(0, n_p, _BLOCK):
+        b = min(_BLOCK, n_p - start)
+        for r in range(b):
+            _draw_rng(seed, start + r).standard_normal(out=g[r])
+        v = g[:b] @ chol.T
+        rows = np.arange(b)
+        top = np.argmax(v, axis=1)
+        top_value = v[rows, top]
+        v[rows, top] = -np.inf
+        gap = top_value - v.max(axis=1)
+        idx[start:start + b] = top
+        for r in np.flatnonzero(~(gap > margin * np.linalg.norm(g[:b], axis=1))):
+            t = start + int(r)
+            idx[t] = np.argmax(chol @ _draw_rng(seed, t).standard_normal(m))
+            rechecked += 1
+    return idx, rechecked
+
+
+def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
+    """Argmax coordinate (lowest index on ties) of each of n_p draws chol @ g_t.
+
+    This is the per-draw definition ``argmax(chol @ g_t)`` with ``g_t`` from
+    ``_draw_seed(seed, t)``, evaluated for blocks of draws in one matrix
+    product. The product may sum each m-term dot product in another order
+    than the per-draw one. Any summation order lies within
+    ``gamma_m * sum_k |L_ik g_k|`` of the exact value, ``gamma_m =
+    m u / (1 - m u)``, ``u = 2**-53`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), and by Cauchy-Schwarz that sum is at
+    most ``R * |g_t|`` with ``R`` the largest row norm of ``chol``. So the two
+    values of a coordinate differ by at most ``2 gamma_m R |g_t|``, and the
+    argmax cannot differ when the top value exceeds the second by more than
+    ``4 gamma_m R |g_t|``. Every draw whose gap is not above twice that
+    (a margin for the rounding of the norms), exact ties included, is
+    recomputed by the per-draw definition, so each index is bit-identical.
+    """
+    return _select(chol, seed, n_p)[0]
 
 
 def build_null(fitted: FittedModel, X, cfg: NullConfig,
@@ -176,19 +232,25 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
-    u = normalization_factor(stat_cfg, n)
-    outputs = np.empty((cfg.m, n))
-    stats = np.empty((cfg.m, d))
-    for k, f in enumerate(nets):
-        outputs[k], g = output_and_gradient(f, X)
-        stats[k] = [math.fsum(col) / n / (u * u) for col in (g * g).T.tolist()]
-    cov = _gram(outputs)
-    if cfg.lambda_shrink > 0.0:
-        cov = shrink(cov, cfg.lambda_shrink)
-    cov = cholesky_with_jitter(cov)
-    idx = _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p)
-    return SharedNull(stats=stats, idx=idx, jitter_used=cov.jitter_used)
+    timings = {}
+    with stage(timings, "sample"):
+        nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
+    with stage(timings, "evaluate"):
+        u = normalization_factor(stat_cfg, n)
+        outputs = np.empty((cfg.m, n))
+        stats = np.empty((cfg.m, d))
+        for k, f in enumerate(nets):
+            outputs[k], g = output_and_gradient(f, X)
+            stats[k] = [math.fsum(col) / n / (u * u) for col in (g * g).T.tolist()]
+        cov = _gram(outputs)
+    with stage(timings, "cholesky"):
+        if cfg.lambda_shrink > 0.0:
+            cov = shrink(cov, cfg.lambda_shrink)
+        cov = cholesky_with_jitter(cov)
+    with stage(timings, "select"):
+        idx, rechecked = _select(cov.chol_factor, cfg.seed, cfg.n_p)
+    return SharedNull(stats=stats, idx=idx, jitter_used=cov.jitter_used,
+                      rechecked_draws=rechecked, timings=timings)
 
 
 def _check_variables(variables, d: int) -> None:

@@ -171,9 +171,14 @@ class TestTestCommand:
 
     def test_null_summary(self, tmp_path):
         cfg = base_config(tmp_path)
-        null = self.run_test(tmp_path, cfg)["null"]
+        report = self.run_test(tmp_path, cfg)
+        null = report["null"]
         assert null["jitter_used"] >= 0.0
         assert 1.0 <= null["ess"] <= null["distinct_selected"] <= cfg["test"]["m"]
+        assert 0.0 < null["top_share"] <= 1.0
+        assert null["rechecked_draws"] >= 0
+        stages = ("data", "fit", "sample", "evaluate", "cholesky", "select", "wall_seconds")
+        assert all(report["timings"][s] >= 0.0 for s in stages)
 
     def test_variable_subset_and_sidecar(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -228,7 +233,9 @@ class TestConfigErrors:
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
 
     def test_bad_value_type_names_key(self, tmp_path, capsys):
-        cases = (("training", "epochs", "x"), ("test", "m", "ten"), ("test", "variables", 5))
+        cases = (("training", "epochs", "x"), ("test", "m", "ten"), ("test", "variables", 5),
+                 ("training", "epochs", 2.9), ("test", "m", 5.7), ("test", "n_p", 30.5),
+                 ("training", "epochs", True), ("test", "n_p", "30"))
         for section, key, bad in cases:
             cfg = base_config(tmp_path)
             cfg[section][key] = bad

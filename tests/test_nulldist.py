@@ -10,6 +10,7 @@ from nnsig.nulldist import (
     CovMatrix,
     NullConfig,
     _draw_seed,
+    _select,
     _selection_indices,
     cholesky_with_jitter,
     empirical_covariance,
@@ -159,6 +160,10 @@ class TestCholeskyWithJitter:
             cholesky_with_jitter(bad)
 
 
+def seeded_draw(seed, t, m):
+    return np.random.Generator(np.random.PCG64(_draw_seed(seed, t))).standard_normal(m)
+
+
 class TestNullSample:
     def test_index_is_argmax_of_seeded_draw(self):
         chol = np.linalg.cholesky(np.eye(6) + 0.3)
@@ -166,6 +171,38 @@ class TestNullSample:
         for t, k in enumerate(idx):
             g = np.random.Generator(np.random.PCG64(_draw_seed(21, t))).standard_normal(6)
             assert k == np.argmax(chol @ g)
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(2, 40), factor_seed=st.integers(0, 1000),
+           seed=st.integers(0, 2 ** 64), n_p=st.sampled_from((1, 255, 257, 600)))
+    def test_block_products_match_per_draw_argmax(self, m, factor_seed, seed, n_p):
+        rng = np.random.default_rng(factor_seed)
+        a = rng.normal(size=(m, m)) + rng.normal(size=(1, m))  # shared part: correlated rows
+        chol = np.linalg.cholesky(a @ a.T / m + 1e-6 * np.eye(m))
+        idx = _selection_indices(chol, seed, n_p)
+        assert idx.shape == (n_p,)
+        for t, k in enumerate(idx):
+            assert k == np.argmax(chol @ seeded_draw(seed, t, m))
+
+    def test_identical_rows_rechecked_and_tie_goes_to_lower_index(self):
+        a = np.random.default_rng(4).normal(size=(8, 10))
+        chol = np.linalg.cholesky(a @ a.T / 10)
+        chol[5] = chol[4]  # row 4 is zero beyond column 4, so chol stays lower-triangular
+        idx, rechecked = _select(chol, 4, 2000)
+        assert rechecked > 0
+        ties = 0
+        for t, k in enumerate(idx):
+            v = chol @ seeded_draw(4, t, 8)
+            assert k == np.argmax(v)
+            if v[4] == v[5] == v.max():
+                ties += 1
+                assert k == 4
+        assert ties > 0
+
+    def test_prefix_does_not_depend_on_n_p(self):
+        chol = np.linalg.cholesky(np.eye(7) + 0.5)
+        assert np.array_equal(_selection_indices(chol, 5, 600)[:300],
+                              _selection_indices(chol, 5, 300))
 
     def test_argmax_invariance_shift_and_scale(self):
         rng = np.random.default_rng(8)
