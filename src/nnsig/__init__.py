@@ -38,7 +38,6 @@ from .nulldist import (
     TestResult,
     cholesky_with_jitter,
     empirical_covariance,
-    null_distribution,
     p_value_from_null,
     sample_networks,
     shrink,

@@ -15,50 +15,15 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import Dataset, TargetSpec, generate, load_csv, save_csv
 from .exceptions import ConfigurationError, InputError, NumericalError
 from .diagnostics import approximation_rate_experiment, complexity_scaling_experiment
-from .network import load as load_network, save as save_network
+from .network import load as load_network, save as save_network, second_moment
 from .nulldist import NullConfig, significance_tests
 from .significance import RateConstants, StatConfig
 from .timing import stage
-from .training import ArchSpec, TrainConfig, fit_least_squares, quadratic_loss
-
-
-def _load_config(path, seed_override=None, out_override=None) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    if seed_override is not None:
-        cfg["seed"] = seed_override
-    if out_override is not None:
-        cfg.setdefault("output", {})["dir"] = out_override
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("output", {})
-    return cfg
-
-
-def _value(section: dict, key: str, kind, default=None):
-    """``section[name]`` converted by ``kind``, where ``name`` is the last part
-    of the dotted ``key``; ``default`` stands in for a missing entry, and
-    ``None`` makes the entry required. Errors name the dotted key."""
-    name = key.rpartition(".")[2]
-    if name not in section and default is None:
-        raise ConfigurationError(f"{key}: missing")
-    raw = section.get(name, default)
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{key}: {exc}") from None
+from .training import ArchSpec, FittedModel, TrainConfig, fit_least_squares, quadratic_loss
 
 
 def _integer(raw) -> int:
@@ -69,111 +34,174 @@ def _integer(raw) -> int:
     return int(raw)
 
 
-def _int_list(values) -> list:
-    return [_integer(v) for v in values]
+def _real(raw) -> float:
+    """``raw`` as a float; bools, strings and NaN are rejected, infinities kept."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw != raw:
+        raise ValueError(f"expected a number, got {raw!r}")
+    return float(raw)
 
 
-def _section(cfg: dict, key: str) -> dict:
-    section = cfg.get(key)
-    if section is None:
-        return {}
+def _string(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"expected a string, got {raw!r}")
+    return raw
+
+
+def _bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw
+
+
+def _list_of(kind):
+    def convert(raw) -> tuple:
+        if not isinstance(raw, list):
+            raise ValueError(f"expected a list, got {raw!r}")
+        return tuple(kind(v) for v in raw)
+    return convert
+
+
+def _width(raw):
+    """An integer width, or None (the automatic schedule) for "auto" and null."""
+    return None if raw in ("auto", None) else _integer(raw)
+
+
+_integers, _reals = _list_of(_integer), _list_of(_real)
+
+# Every config key and its kind: a converter, a nested table for a JSON
+# object, or None for a retired key that is accepted and ignored.
+_GENERATOR = {"kind": _string, "beta": _reals, "intercept": _real, "frequency": _reals,
+              "dead_index": _integer, "noise_sigma": _real, "n": _integer, "d": _integer}
+_GENERATOR["base"] = _GENERATOR
+_TRAINING = {"epochs": _integer, "batch_size": _integer, "learning_rate": _real,
+             "lr_decay": _real, "tolerance": _real}
+_KEYS = {
+    "seed": _integer,
+    "output": dict.fromkeys(("dir", "dataset", "model", "loss_history", "train_summary",
+                             "report", "null_samples_csv_prefix", "complexity_csv",
+                             "approximation_csv", "diagnostics_report"), _string),
+    "data": {"path": _string, "target_column": _string, "generator": _GENERATOR},
+    "architecture": {"depth": _integer, "width": _width, "activation": _string,
+                     "width_c": _real},
+    "training": {**_TRAINING, "seed": _integer, "max_grad_norm": _real,
+                 "moment_bound": _real},
+    "test": {
+        "variables": _integers, "m": _integer, "n_p": _integer, "lambda_shrink": _real,
+        "sigma_scale": _string, "seed": _integer, "normalization_mode": _string,
+        "rate_constants": {"h_n": _integer, "lipschitz": _real, "depth": _integer,
+                           "s_over_d": _real, "c_prime": None},
+        "include_null_samples": _bool, "null_samples_csv": _bool,
+        "workers": None, "alpha_adapt": None, "m_max": None, "adapt_tol": None,
+    },
+    "diagnostics": {
+        "complexity": {"width": _integer, "depth": _integer, "d": _integer,
+                       "n_list": _integers, "n_eps": _integer, "n_class": _integer,
+                       "activation": _string},
+        "approximation": {"d": _integer, "frequency": _reals, "widths": _integers,
+                          "n": _integer, "depth": _integer, "activation": _string,
+                          "training": {**_TRAINING, "early_stop_window": _integer}},
+    },
+}
+
+# Training preset of the approximation study; diagnostics.approximation.training
+# overrides single keys of it.
+_APPROX_TRAINING = {"epochs": 5000, "batch_size": 256, "learning_rate": 0.05,
+                    "lr_decay": 0.9995, "tolerance": 1e-6, "early_stop_window": 100}
+
+
+def _check(section, table: dict, key: str) -> dict:
+    """``section`` with each value converted by its kind in ``table`` and the
+    retired keys dropped. Errors name the dotted key."""
     if not isinstance(section, dict):
         raise ConfigurationError(f"{key}: expected a JSON object, got {section!r}")
-    return section
+    out = {}
+    for name, raw in section.items():
+        dotted = f"{key}.{name}" if key else name
+        if name not in table:
+            raise ConfigurationError(f"{dotted}: unknown key")
+        kind = table[name]
+        try:
+            if isinstance(kind, dict):
+                out[name] = _check(raw, kind, dotted)
+            elif kind is not None:
+                out[name] = kind(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"{dotted}: {exc}") from None
+    return out
+
+
+def _load_config(path, seed_override=None, out_override=None) -> tuple[dict, dict]:
+    """The checked config and the config echo: the JSON as loaded, with the
+    overrides and the ``seed`` and ``output`` defaults applied."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigurationError(f"config file not found: {path}")
+    try:
+        echo = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(echo, dict):
+        raise ConfigurationError("config root must be a JSON object")
+    if seed_override is not None:
+        echo["seed"] = seed_override
+    echo.setdefault("seed", 0)
+    echo.setdefault("output", {})
+    cfg = _check(echo, _KEYS, "")
+    if out_override is not None:
+        echo["output"]["dir"] = cfg["output"]["dir"] = out_override
+    return cfg, echo
+
+
+def _require(section: dict, key: str, *names) -> None:
+    for name in names:
+        if name not in section:
+            raise ConfigurationError(f"{key}.{name}: missing")
+
+
+def _build(cls, key: str, fields: dict):
+    """``cls(**fields)``; its errors name ``key``, the section the fields came from."""
+    try:
+        return cls(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
+def _pick(section: dict, *names) -> dict:
+    """The entries of ``section`` named, so that absent ones keep their defaults."""
+    return {name: section[name] for name in names if name in section}
 
 
 def _out_path(cfg: dict, key: str, default: str) -> Path:
-    out = cfg.get("output", {})
+    out = cfg["output"]
     base = Path(out.get("dir", "."))
     base.mkdir(parents=True, exist_ok=True)
     return base / out.get(key, default)
 
 
-def _target_spec(gen: dict) -> TargetSpec:
-    kind = gen.get("kind")
-    if kind is None:
-        raise ConfigurationError("generator section needs a 'kind'")
-    base = _target_spec(gen["base"]) if "base" in gen and gen["base"] else None
-    try:
-        return TargetSpec(
-            kind=kind,
-            beta=tuple(gen["beta"]) if "beta" in gen else None,
-            intercept=_value(gen, "data.generator.intercept", float, 0.0),
-            frequency=tuple(gen["frequency"]) if "frequency" in gen else None,
-            base=base,
-            dead_index=gen.get("dead_index"),
-            noise_sigma=_value(gen, "data.generator.noise_sigma", float, 0.0),
-        )
-    except (TypeError, KeyError) as exc:
-        raise ConfigurationError(f"bad generator section: {exc}") from None
+def _target_spec(gen: dict, key: str) -> TargetSpec:
+    _require(gen, key, "kind")
+    fields = {name: v for name, v in gen.items() if name not in ("n", "d", "base")}
+    base = _target_spec(gen["base"], key + ".base") if "base" in gen else None
+    return _build(TargetSpec, key, {**fields, "base": base})
 
 
 def _dataset_from_config(cfg: dict) -> Dataset:
-    data = cfg.get("data")
-    if not isinstance(data, dict):
-        raise ConfigurationError("missing 'data' section")
-    has_path = "path" in data
-    has_gen = "generator" in data
-    if has_path == has_gen:
-        raise ConfigurationError("exactly one of data.path / data.generator must be set")
-    if has_path:
+    data = cfg.get("data", {})
+    if ("path" in data) == ("generator" in data):
+        raise ConfigurationError("data: exactly one of path and generator must be set")
+    if "path" in data:
         return load_csv(data["path"], data.get("target_column", "y"))
     gen = data["generator"]
-    if not isinstance(gen, dict):
-        raise ConfigurationError(f"data.generator: expected a JSON object, got {gen!r}")
-    return generate(_target_spec(gen), _value(gen, "data.generator.n", _integer),
-                    _value(gen, "data.generator.d", _integer), _value(cfg, "seed", _integer))
-
-
-def _arch_spec(cfg: dict) -> ArchSpec:
-    arch = _section(cfg, "architecture")
-    auto = arch.get("width", "auto") in ("auto", None)
-    return ArchSpec(
-        depth=_value(arch, "architecture.depth", _integer, 2),
-        width=None if auto else _value(arch, "architecture.width", _integer),
-        activation=arch.get("activation", "sigmoid"),
-        width_c=_value(arch, "architecture.width_c", float, 1.0),
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    tr = _section(cfg, "training")
-    return TrainConfig(
-        epochs=_value(tr, "training.epochs", _integer, 300),
-        batch_size=_value(tr, "training.batch_size", _integer, 64),
-        learning_rate=_value(tr, "training.learning_rate", float, 0.5),
-        lr_decay=_value(tr, "training.lr_decay", float, 0.999),
-        seed=_value(tr, "training.seed", _integer, _value(cfg, "seed", _integer)),
-        tolerance=_value(tr, "training.tolerance", float, 1e-8),
-        max_grad_norm=_value(tr, "training.max_grad_norm", float, 10.0),
-        moment_bound=_value(tr, "training.moment_bound", float, 100.0),
-    )
+    _require(gen, "data.generator", "n", "d")
+    return generate(_target_spec(gen, "data.generator"), gen["n"], gen["d"], cfg["seed"])
 
 
 def _stat_config(test: dict) -> StatConfig:
-    mode = test.get("normalization_mode", "identity")
-    rc = None
-    if mode == "rate":
-        raw = test.get("rate_constants")
-        if not isinstance(raw, dict):
-            raise ConfigurationError("rate normalization requires test.rate_constants")
-        rc = RateConstants(
-            h_n=_value(raw, "test.rate_constants.h_n", _integer),
-            lipschitz=_value(raw, "test.rate_constants.lipschitz", float),
-            depth=_value(raw, "test.rate_constants.depth", _integer),
-            s_over_d=_value(raw, "test.rate_constants.s_over_d", float),
-        )
-    return StatConfig(normalization_mode=mode, rate_constants=rc)
-
-
-def _null_config(test: dict, master_seed: int) -> NullConfig:
-    return NullConfig(
-        m=_value(test, "test.m", _integer, 200),
-        n_p=_value(test, "test.n_p", _integer, 1000),
-        lambda_shrink=_value(test, "test.lambda_shrink", float, 0.0),
-        sigma_scale=test.get("sigma_scale", "raw"),
-        seed=_value(test, "test.seed", _integer, master_seed),
-    )
+    rc = test.get("rate_constants") if test.get("normalization_mode") == "rate" else None
+    if rc is not None:
+        _require(rc, "test.rate_constants", "h_n", "lipschitz", "depth", "s_over_d")
+        rc = RateConstants(**rc)
+    return _build(StatConfig, "test", {**_pick(test, "normalization_mode"), "rate_constants": rc})
 
 
 def _fitted_summary(fitted) -> dict:
@@ -206,9 +234,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def cmd_generate(cfg: dict) -> int:
-    data = cfg.get("data", {})
-    if "generator" not in data:
+# Each command takes the checked config and the config echo of _load_config.
+
+def cmd_generate(cfg: dict, echo: dict) -> int:
+    if "generator" not in cfg.get("data", {}):
         raise ConfigurationError("generate needs a data.generator section")
     dataset = _dataset_from_config(cfg)
     path = _out_path(cfg, "dataset", "dataset.csv")
@@ -218,10 +247,12 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def _fit(cfg: dict, dataset: Dataset):
-    return fit_least_squares(dataset, _arch_spec(cfg), _train_config(cfg))
+    arch = _build(ArchSpec, "architecture", cfg.get("architecture", {}))
+    train_cfg = _build(TrainConfig, "training", {"seed": cfg["seed"], **cfg.get("training", {})})
+    return fit_least_squares(dataset, arch, train_cfg)
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(cfg: dict, echo: dict) -> int:
     dataset = _dataset_from_config(cfg)
     fitted = _fit(cfg, dataset)
     model_path = _out_path(cfg, "model", "model.nnsig")
@@ -245,12 +276,12 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def cmd_test(cfg: dict) -> int:
+def cmd_test(cfg: dict, echo: dict) -> int:
     t0 = time.perf_counter()
     timings = {}
     with stage(timings, "data"):
         dataset = _dataset_from_config(cfg)
-    test = _section(cfg, "test")
+    test = cfg.get("test", {})
 
     model_path = _out_path(cfg, "model", "model.nnsig")
     with stage(timings, "fit"):
@@ -261,8 +292,6 @@ def cmd_test(cfg: dict) -> int:
                     f"model expects dimension {net.input_dim}, data has {dataset.d}"
                 )
             risk = quadratic_loss(net, dataset.X, dataset.y)
-            from .network import second_moment
-            from .training import FittedModel
             fitted = FittedModel(
                 net=net,
                 train_loss_history=[risk],
@@ -273,21 +302,14 @@ def cmd_test(cfg: dict) -> int:
         else:
             fitted = _fit(cfg, dataset)
 
-    variables = test.get("variables")
-    if variables is None:
-        variables = list(range(dataset.d))
-    if not isinstance(variables, list):
-        raise ConfigurationError(
-            f"test.variables: expected a list of integers, got {variables!r}"
-        )
+    variables = test.get("variables", range(dataset.d))
     for j in variables:
-        if isinstance(j, bool) or not isinstance(j, int):
-            raise ConfigurationError(f"test.variables entry {j!r} is not an integer")
         if not (0 <= j < dataset.d):
-            raise ConfigurationError(f"variable index {j} out of range for d={dataset.d}")
+            raise ConfigurationError(f"test.variables: index {j} out of range for d={dataset.d}")
 
     stat_cfg = _stat_config(test)
-    null_cfg = _null_config(test, _value(cfg, "seed", _integer))
+    null_cfg = _build(NullConfig, "test", {
+        "seed": cfg["seed"], **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")})
 
     tested = significance_tests(fitted, dataset, variables, null_cfg, stat_cfg)
     results = []
@@ -315,7 +337,7 @@ def cmd_test(cfg: dict) -> int:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "master_seed": cfg["seed"],
-        "config_echo": cfg,
+        "config_echo": echo,
         "fitted": _fitted_summary(fitted),
         "flags": {
             "normalization_mode": stat_cfg.normalization_mode,
@@ -335,26 +357,18 @@ def cmd_test(cfg: dict) -> int:
     return 0
 
 
-def cmd_diagnose(cfg: dict) -> int:
+def cmd_diagnose(cfg: dict, echo: dict) -> int:
     t0 = time.perf_counter()
-    diag = _section(cfg, "diagnostics")
+    diag = cfg.get("diagnostics", {})
     out = {}
-    seed = _value(cfg, "seed", _integer)
+    seed = cfg["seed"]
 
-    comp = _section(diag, "complexity")
+    comp = diag.get("complexity")
     if comp:
-        key = "diagnostics.complexity."
-        width = _value(comp, key + "width", _integer, 8)
-        depth = _value(comp, key + "depth", _integer, 2)
-        d = _value(comp, key + "d", _integer, 3)
-        dims = (d,) + (width,) * depth + (1,)
+        dims = (comp.get("d", 3),) + (comp.get("width", 8),) * comp.get("depth", 2) + (1,)
         report = complexity_scaling_experiment(
-            dims,
-            _value(comp, key + "n_list", _int_list, [250, 1000, 4000]),
-            seed,
-            n_eps=_value(comp, key + "n_eps", _integer, 200),
-            n_class=_value(comp, key + "n_class", _integer, 50),
-            activation=comp.get("activation", "sigmoid"),
+            dims, comp.get("n_list", (250, 1000, 4000)), seed,
+            **_pick(comp, "n_eps", "n_class", "activation"),
         )
         out["complexity"] = {
             "n_values": report.x_values,
@@ -368,35 +382,16 @@ def cmd_diagnose(cfg: dict) -> int:
             for x, e in zip(report.x_values, report.errors):
                 fh.write(f"{x},{e!r}\n")
 
-    approx = _section(diag, "approximation")
+    approx = diag.get("approximation")
     if approx:
-        key = "diagnostics.approximation."
-        d = _value(approx, key + "d", _integer, 2)
-        spec = TargetSpec(
-            kind="smooth_sin",
-            frequency=tuple(approx.get("frequency", [1.0] + [0.0] * (d - 1))),
-            noise_sigma=0.0,
-        )
-        tr = _section(approx, "training")
-        key_tr = key + "training."
-        train_cfg = TrainConfig(
-            epochs=_value(tr, key_tr + "epochs", _integer, 5000),
-            batch_size=_value(tr, key_tr + "batch_size", _integer, 256),
-            learning_rate=_value(tr, key_tr + "learning_rate", float, 0.05),
-            lr_decay=_value(tr, key_tr + "lr_decay", float, 0.9995),
-            tolerance=_value(tr, key_tr + "tolerance", float, 1e-6),
-            early_stop_window=_value(tr, key_tr + "early_stop_window", _integer, 100),
-            seed=seed,
-        )
+        d = approx.get("d", 2)
+        spec = TargetSpec(kind="smooth_sin",
+                          frequency=approx.get("frequency", (1.0,) + (0.0,) * (d - 1)))
+        train_cfg = _build(TrainConfig, "diagnostics.approximation.training",
+                           {**_APPROX_TRAINING, **approx.get("training", {}), "seed": seed})
         report = approximation_rate_experiment(
-            spec,
-            _value(approx, key + "widths", _int_list, [4, 8, 16, 32]),
-            _value(approx, key + "n", _integer, 4000),
-            train_cfg,
-            seed,
-            depth=_value(approx, key + "depth", _integer, 2),
-            activation=approx.get("activation", "tanh"),
-            d=d,
+            spec, approx.get("widths", (4, 8, 16, 32)), approx.get("n", 4000), train_cfg,
+            seed, d=d, **_pick(approx, "depth", "activation"),
         )
         out["approximation"] = {
             "widths": report.x_values,
@@ -413,7 +408,7 @@ def cmd_diagnose(cfg: dict) -> int:
     payload = {
         "version": __version__,
         "master_seed": cfg["seed"],
-        "config_echo": cfg,
+        "config_echo": echo,
         "diagnostics": out,
         "timings": {"wall_seconds": time.perf_counter() - t0},
     }
@@ -443,8 +438,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args.config, args.seed, args.out)
-        return _COMMANDS[args.command](cfg)
+        cfg, echo = _load_config(args.config, args.seed, args.out)
+        return _COMMANDS[args.command](cfg, echo)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

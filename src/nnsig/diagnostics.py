@@ -1,5 +1,5 @@
-"""Monte-Carlo diagnostics: Rademacher complexity estimates, localization,
-and empirical scaling experiments for complexity and approximation error.
+"""Monte-Carlo diagnostics: Rademacher complexity estimates and empirical
+scaling experiments for complexity and approximation error.
 
 The supremum over the network class is approximated by a max over a finite
 sample of networks, so every estimate here is a lower bound on the population
@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, TargetSpec, generate, split
 from .exceptions import ConfigurationError, DivergenceError
-from .network import Network, activation_lipschitz, forward_batch, init_glorot
+from .network import Network, forward_batch, init_glorot
 from .training import ArchSpec, TrainConfig, fit_least_squares
 
 
@@ -89,28 +89,6 @@ def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(n_eps)) if n_eps > 1 else 0.0
     return RademacherEstimate(value, n, n_eps, n_class, stderr)
-
-
-def default_localization_radius(ref_net: Network, n: int) -> float:
-    """r_n = H * L^depth / sqrt(n) from the reference network's architecture."""
-    lip = activation_lipschitz(ref_net.activation)
-    return ref_net.hidden_width * lip ** ref_net.depth / math.sqrt(n)
-
-
-def localize(nets, ref_net: Network, X, r: float | None = None) -> list:
-    """Keep networks with (1/n) sum (f(x_i) - ref(x_i))^2 <= r."""
-    X = np.asarray(X, dtype=np.float64)
-    if r is None:
-        r = default_localization_radius(ref_net, X.shape[0])
-    if r < 0:
-        raise ConfigurationError("localization radius must be nonnegative")
-    ref = forward_batch(ref_net, X)
-    kept = []
-    for f in nets:
-        dist = float(np.mean((forward_batch(f, X) - ref) ** 2))
-        if dist <= r:
-            kept.append(f)
-    return kept
 
 
 def approximation_rate_experiment(target_spec: TargetSpec, widths, n: int,

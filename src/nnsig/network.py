@@ -39,18 +39,12 @@ def _sigmoid_pair(z):
     return s, s * (1.0 - s)
 
 
-# activation name -> (function, (value, derivative) pair, Lipschitz constant)
+# activation name -> (function, (value, derivative) pair)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), _relu_pair, 1.0),
-    "tanh": (np.tanh, _tanh_pair, 1.0),
-    "sigmoid": (_stable_sigmoid, _sigmoid_pair, 0.25),
+    "relu": (lambda z: np.maximum(z, 0.0), _relu_pair),
+    "tanh": (np.tanh, _tanh_pair),
+    "sigmoid": (_stable_sigmoid, _sigmoid_pair),
 }
-
-
-def activation_lipschitz(name: str) -> float:
-    if name not in _ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {name!r}")
-    return _ACTIVATIONS[name][2]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ replication order, and the first k networks do not depend on m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .significance import (
     StatConfig,
     VariableStatistic,
     all_statistics,
+    column_statistics,
     normalization_factor,
 )
 from .timing import stage
@@ -227,8 +227,8 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     """Steps 1-3 once: one fused pass per sampled network, one factorization,
     one set of selections.
 
-    Each statistic is summed with math.fsum, as ``all_statistics`` sums the
-    fitted network's, so both are exactly rounded.
+    The statistics come from ``column_statistics``, as the fitted network's
+    do in ``all_statistics``, so observed and null samples share one definition.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -241,7 +241,7 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
         stats = np.empty((cfg.m, d))
         for k, f in enumerate(nets):
             outputs[k], g = output_and_gradient(f, X)
-            stats[k] = [math.fsum(col) / n / (u * u) for col in (g * g).T.tolist()]
+            stats[k] = [normalized for _, normalized in column_statistics(g, u)]
         cov = _gram(outputs)
     with stage(timings, "cholesky"):
         if cfg.lambda_shrink > 0.0:
@@ -257,17 +257,6 @@ def _check_variables(variables, d: int) -> None:
     for j in variables:
         if not (0 <= j < d):
             raise InputError(f"variable index {j} out of range for dimension {d}")
-
-
-def null_distribution(fitted: FittedModel, dataset, j: int, cfg: NullConfig,
-                      stat_cfg: StatConfig = StatConfig()):
-    """n_p null statistics for variable j; returns (samples, idx).
-
-    ``idx`` holds the index of the sampled network each draw selected.
-    """
-    _check_variables([j], fitted.net.input_dim)
-    null = build_null(fitted, dataset.X, cfg, stat_cfg)
-    return null.samples(j), null.idx
 
 
 def p_value_from_null(observed_normalized: float, null_samples) -> float:

@@ -68,10 +68,13 @@ def normalization_factor(cfg: StatConfig, n: int) -> float:
     )
 
 
-def _column_stat(grads: np.ndarray, j: int, u: float, n: int) -> VariableStatistic:
-    col = grads[:, j]
-    raw = math.fsum(col * col) / n
-    return VariableStatistic(j, raw, raw / (u * u), n)
+def column_statistics(grads: np.ndarray, u: float) -> list:
+    """(raw, normalized) statistic of each column of an (n, d) gradient matrix:
+    raw is the mean of the column's squares, summed with math.fsum so that it
+    is exactly rounded, and normalized is raw / u**2."""
+    n = grads.shape[0]
+    raws = [math.fsum(col) / n for col in (grads * grads).T.tolist()]
+    return [(raw, raw / (u * u)) for raw in raws]
 
 
 def empirical_test_statistic(
@@ -83,8 +86,9 @@ def empirical_test_statistic(
         raise InputError("empty covariate matrix")
     if not (0 <= j < net.input_dim):
         raise InputError(f"variable index {j} out of range for dimension {net.input_dim}")
-    grads = input_gradient_batch(net, X)
-    return _column_stat(grads, j, normalization_factor(cfg, len(X)), len(X))
+    grads = input_gradient_batch(net, X)[:, [j]]
+    raw, normalized = column_statistics(grads, normalization_factor(cfg, len(X)))[0]
+    return VariableStatistic(j, raw, normalized, len(X))
 
 
 def all_statistics(net: Network, X, cfg: StatConfig = StatConfig()) -> list:
@@ -93,5 +97,6 @@ def all_statistics(net: Network, X, cfg: StatConfig = StatConfig()) -> list:
     if X.size == 0:
         raise InputError("empty covariate matrix")
     grads = input_gradient_batch(net, X)
-    u = normalization_factor(cfg, len(X))
-    return [_column_stat(grads, j, u, len(X)) for j in range(net.input_dim)]
+    stats = column_statistics(grads, normalization_factor(cfg, len(X)))
+    return [VariableStatistic(j, raw, normalized, len(X))
+            for j, (raw, normalized) in enumerate(stats)]

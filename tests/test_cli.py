@@ -5,14 +5,21 @@ in-process, asserting on exit codes and on the files the commands produce.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nnsig import cli
 from nnsig.cli import main
 from nnsig.data import TargetSpec, generate, load_csv
+from nnsig.exceptions import ConfigurationError
 from nnsig.network import load as load_network
-from nnsig.training import quadratic_loss, width_schedule
+from nnsig.nulldist import NullConfig
+from nnsig.training import ArchSpec, TrainConfig, quadratic_loss, width_schedule
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -38,6 +45,35 @@ def base_config(out_dir, n=300, d=2, beta=(1.0, 0.0), noise=0.1, seed=11):
         "training": {"epochs": 40, "batch_size": 50, "learning_rate": 0.5},
         "test": {"m": 20, "n_p": 50},
     }
+
+
+def table_paths(table, prefix=()):
+    """Every dotted key of the config table as a tuple; ``base`` is followed once."""
+    for name, kind in table.items():
+        yield prefix + (name,)
+        if isinstance(kind, dict) and name not in prefix:
+            yield from table_paths(kind, prefix + (name,))
+
+
+def table_names(table):
+    return {path[-1] for path in table_paths(table)}
+
+
+def build_all(cfg):
+    """Every spec and config object the commands build from a checked config,
+    built the way the commands build them, without running anything."""
+    gen = cfg.get("data", {}).get("generator")
+    if gen is not None:
+        cli._target_spec(gen, "data.generator")
+    cli._build(ArchSpec, "architecture", cfg.get("architecture", {}))
+    cli._build(TrainConfig, "training", {"seed": cfg["seed"], **cfg.get("training", {})})
+    test = cfg.get("test", {})
+    cli._stat_config(test)
+    cli._build(NullConfig, "test", {
+        "seed": cfg["seed"], **cli._pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")})
+    approx = cfg.get("diagnostics", {}).get("approximation", {})
+    cli._build(TrainConfig, "diagnostics.approximation.training",
+               {**cli._APPROX_TRAINING, **approx.get("training", {}), "seed": cfg["seed"]})
 
 
 class TestGenerateCommand:
@@ -235,13 +271,71 @@ class TestConfigErrors:
     def test_bad_value_type_names_key(self, tmp_path, capsys):
         cases = (("training", "epochs", "x"), ("test", "m", "ten"), ("test", "variables", 5),
                  ("training", "epochs", 2.9), ("test", "m", 5.7), ("test", "n_p", 30.5),
-                 ("training", "epochs", True), ("test", "n_p", "30"))
+                 ("training", "epochs", True), ("test", "n_p", "30"),
+                 ("training", "learning_rate", True), ("training", "lr_decay", "0.999"),
+                 ("test", "lambda_shrink", False), ("test", "lamda_shrink", 0.5),
+                 ("test", "include_null_samples", "no"),
+                 ("training", "learning_rate", float("nan")),
+                 ("training", "learning_rate", 10 ** 400))
         for section, key, bad in cases:
             cfg = base_config(tmp_path)
             cfg[section][key] = bad
             assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
             err = capsys.readouterr().err
             assert f"{section}.{key}" in err and "Traceback" not in err
+
+    def test_out_of_range_value_names_section(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["test"]["m"] = 1
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "configuration error: test: m must be at least 2" in capsys.readouterr().err
+
+    def test_retired_keys_accepted_and_ignored(self, tmp_path):
+        cfg = base_config(tmp_path)
+        plain, _ = cli._load_config(write_config(tmp_path, cfg, "plain.json"))
+        cfg["test"].update(workers=4, alpha_adapt=0.05, m_max=800, adapt_tol=0.01,
+                           rate_constants={"c_prime": 2.0})
+        retired, echo = cli._load_config(write_config(tmp_path, cfg, "retired.json"))
+        assert echo == cfg
+        assert retired == {**plain, "test": {**plain["test"], "rate_constants": {}}}
+
+    def test_readme_config_passes_table(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        cfg, echo = cli._load_config(write_config(tmp_path, example))
+        build_all(cfg)
+        assert echo == example
+        # the section documents every key the table accepts, alone or dotted
+        assert all(f"`{name}`" in section or f".{name}`" in section
+                   for name in table_names(cli._KEYS))
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(sorted(table_paths(cli._KEYS)))
+           | st.tuples(st.sampled_from(["test", "training", "data", "architecture"]),
+                       st.text("abxyz_", min_size=1, max_size=6)),
+           value=st.recursive(
+               st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               # values at the edges of the kinds and of the dataclasses' ranges
+               | st.sampled_from([0, 1, -1, 0.5, 2.5, 10 ** 400, float("inf"), "auto",
+                                  "rate", "smooth_sin", "null_variable"]),
+               lambda inner: st.lists(inner, max_size=3)
+               | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+               max_leaves=6))
+    def test_fuzzed_value_is_a_configuration_error_naming_its_key(self, path, value):
+        cfg = base_config("out")
+        cfg["data"]["generator"]["base"] = {"kind": "linear", "beta": [1.0, 0.0]}
+        section = cfg
+        for name in path[:-1]:
+            section = section.setdefault(name, {})
+        section[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                build_all(cli._load_config(write_config(Path(tmp), cfg))[0])
+            except ConfigurationError as exc:
+                head, dotted = str(exc).partition(": ")[0], ".".join(path)
+                assert head == dotted or head.startswith(dotted + ".") \
+                    or dotted.startswith(head + "."), (head, dotted)
 
     def test_bad_csv_exit_code(self, tmp_path):
         data = tmp_path / "bad.csv"
@@ -280,6 +374,5 @@ class TestDiagnoseCommand:
 
 
 def cfg_out(cfg):
-    from pathlib import Path
-
     return Path(cfg["output"]["dir"])
+

@@ -8,10 +8,8 @@ from nnsig.data import TargetSpec
 from nnsig.diagnostics import (
     RademacherEstimate,
     complexity_scaling_experiment,
-    default_localization_radius,
     estimate_rademacher,
     glorot_class_sampler,
-    localize,
     loglog_slope,
 )
 from nnsig.exceptions import ConfigurationError
@@ -86,29 +84,6 @@ class TestEstimateRademacher:
     def test_invalid_counts(self):
         with pytest.raises(ConfigurationError):
             estimate_rademacher(lambda c, s: [], np.zeros((5, 1)), 0, 1, seed=0)
-
-
-class TestLocalize:
-    def setup_method(self):
-        self.X = np.random.default_rng(11).uniform(-1, 1, (60, 3))
-        self.ref = init_glorot((3, 5, 5, 1), "tanh", 0)
-        self.nets = [init_glorot((3, 5, 5, 1), "tanh", k) for k in range(1, 15)]
-
-    def test_infinite_radius_keeps_all(self):
-        assert localize(self.nets, self.ref, self.X, r=np.inf) == self.nets
-
-    def test_zero_radius_keeps_only_equal(self):
-        kept = localize(self.nets + [self.ref], self.ref, self.X, r=0.0)
-        assert kept == [self.ref]
-
-    def test_monotone_in_radius(self):
-        k1 = localize(self.nets, self.ref, self.X, r=0.05)
-        k2 = localize(self.nets, self.ref, self.X, r=0.5)
-        assert set(map(id, k1)) <= set(map(id, k2))
-
-    def test_default_radius_formula(self):
-        r = default_localization_radius(self.ref, 100)
-        assert r == pytest.approx(5 * 1.0 ** 2 / 10.0)
 
 
 class TestLogLogSlope:

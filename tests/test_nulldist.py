@@ -12,9 +12,9 @@ from nnsig.nulldist import (
     _draw_seed,
     _select,
     _selection_indices,
+    build_null,
     cholesky_with_jitter,
     empirical_covariance,
-    null_distribution,
     p_value_from_null,
     sample_networks,
     shrink,
@@ -239,23 +239,24 @@ class TestPValue:
 class TestNullDistribution:
     def test_all_samples_nonnegative(self, small_fitted):
         fitted, ds = small_fitted
-        samples, _ = null_distribution(fitted, ds, 0, NullConfig(m=10, n_p=50, seed=3))
-        assert all(v >= 0 for v in samples)
+        null = build_null(fitted, ds.X, NullConfig(m=10, n_p=50, seed=3))
+        assert all(v >= 0 for v in null.samples(0))
 
     def test_samples_are_selected_statistics(self, small_fitted):
         fitted, ds = small_fitted
         cfg = NullConfig(m=10, n_p=40, seed=5)
-        samples, idx = null_distribution(fitted, ds, 0, cfg)
+        null = build_null(fitted, ds.X, cfg)
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
         cov = cholesky_with_jitter(empirical_covariance(nets, ds.X))
-        assert np.array_equal(idx, _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p))
-        assert samples == [empirical_test_statistic(nets[k], ds.X, 0).normalized for k in idx]
+        assert np.array_equal(null.idx, _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p))
+        assert null.samples(0) == [empirical_test_statistic(nets[k], ds.X, 0).normalized
+                                   for k in null.idx]
 
     def test_deterministic_across_runs(self, small_fitted):
         fitted, ds = small_fitted
         cfg = NullConfig(m=10, n_p=40, seed=8)
-        a, _ = null_distribution(fitted, ds, 0, cfg)
-        b, _ = null_distribution(fitted, ds, 0, cfg)
+        a = build_null(fitted, ds.X, cfg).samples(0)
+        b = build_null(fitted, ds.X, cfg).samples(0)
         assert a == b
 
 

@@ -11,6 +11,7 @@ from nnsig.significance import (
     RateConstants,
     StatConfig,
     all_statistics,
+    column_statistics,
     empirical_test_statistic,
     normalization_factor,
 )
@@ -131,6 +132,13 @@ class TestAllStatistics:
             single = empirical_test_statistic(net, X, j)
             assert batch[j].raw == single.raw
             assert batch[j].normalized == single.normalized
+
+    def test_column_statistics_are_fsum_means(self):
+        grads = np.random.default_rng(8).normal(size=(50, 3)) * [1e-8, 1.0, 1e8]
+        u = 1.7
+        for j, (raw, normalized) in enumerate(column_statistics(grads, u)):
+            assert raw == math.fsum(g * g for g in grads[:, j].tolist()) / 50
+            assert normalized == raw / (u * u)
 
     def test_linear_vector(self):
         net = linear_network([2.0, 0.0, 1.0])
