@@ -172,10 +172,11 @@ def _pick(section: dict, *names) -> dict:
 
 
 def _out_path(cfg: dict, key: str, default: str) -> Path:
+    """The path of output ``key`` under ``output.dir``; its directory is created."""
     out = cfg["output"]
-    base = Path(out.get("dir", "."))
-    base.mkdir(parents=True, exist_ok=True)
-    return base / out.get(key, default)
+    path = Path(out.get("dir", ".")) / out.get(key, default)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _target_spec(gen: dict, key: str) -> TargetSpec:
@@ -227,6 +228,7 @@ def _null_summary(null) -> dict:
         "ess": null.ess,
         "top_share": null.top_share,
         "rechecked_draws": null.rechecked_draws,
+        "fsum_fallbacks": null.fsum_fallbacks,
     }
 
 
@@ -246,10 +248,13 @@ def cmd_generate(cfg: dict, echo: dict) -> int:
     return 0
 
 
+def _train_config(cfg: dict) -> TrainConfig:
+    return _build(TrainConfig, "training", {"seed": cfg["seed"], **cfg.get("training", {})})
+
+
 def _fit(cfg: dict, dataset: Dataset):
     arch = _build(ArchSpec, "architecture", cfg.get("architecture", {}))
-    train_cfg = _build(TrainConfig, "training", {"seed": cfg["seed"], **cfg.get("training", {})})
-    return fit_least_squares(dataset, arch, train_cfg)
+    return fit_least_squares(dataset, arch, _train_config(cfg))
 
 
 def cmd_train(cfg: dict, echo: dict) -> int:
@@ -297,7 +302,7 @@ def cmd_test(cfg: dict, echo: dict) -> int:
                 train_loss_history=[risk],
                 final_empirical_risk=risk,
                 width_used=net.hidden_width,
-                moment=second_moment(net, dataset.X),
+                moment=second_moment(net, dataset.X, _train_config(cfg).moment_bound),
             )
         else:
             fitted = _fit(cfg, dataset)
@@ -326,8 +331,8 @@ def cmd_test(cfg: dict, echo: dict) -> int:
             entry["null_samples"] = res.null_samples
         results.append(entry)
         if test.get("null_samples_csv"):
-            sidecar = _out_path(cfg, "null_samples_csv_prefix", "null_samples") \
-                .with_name(f"null_samples_var{j}.csv")
+            prefix = _out_path(cfg, "null_samples_csv_prefix", "null_samples")
+            sidecar = prefix.with_name(f"{prefix.name}_var{j}.csv")
             with open(sidecar, "w", encoding="utf-8") as fh:
                 fh.write("sample\n")
                 for v in res.null_samples:

@@ -82,6 +82,10 @@ class TargetSpec:
                     out += np.sin(np.pi * freq[k] * X[:, k])
             return out
         # null_variable
+        if not 0 <= self.dead_index < X.shape[1]:
+            raise ConfigurationError(
+                f"dead_index {self.dead_index} out of range for dimension d={X.shape[1]}"
+            )
         Xz = X.copy()
         Xz[:, self.dead_index] = 0.0
         return self.base.evaluate(Xz)

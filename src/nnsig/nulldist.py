@@ -28,7 +28,7 @@ from .significance import (
     StatConfig,
     VariableStatistic,
     all_statistics,
-    column_statistics,
+    mean_squares,
     normalization_factor,
 )
 from .timing import stage
@@ -37,6 +37,12 @@ from .training import FittedModel
 # Draws per matrix product in _selection_indices; a fixed size, since the
 # selected indices do not depend on it.
 _BLOCK = 256
+
+# Squared gradients per exact_column_sums call in build_null: whole networks,
+# as many as fit in this many float64 elements (at least one), so that the
+# cascade's per-pass call overhead is shared at small n and its buffers stay
+# small at large n. The statistics do not depend on it.
+_SUM_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,7 @@ class SharedNull:
     idx: np.ndarray  # (n_p,) network selected by each draw
     jitter_used: float
     rechecked_draws: int  # draws the block product could not certify
+    fsum_fallbacks: int  # statistic sums exact_column_sums could not certify
     timings: dict  # seconds of the stages sample, evaluate, cholesky, select
 
     def samples(self, j: int) -> list:
@@ -227,8 +234,10 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     """Steps 1-3 once: one fused pass per sampled network, one factorization,
     one set of selections.
 
-    The statistics come from ``column_statistics``, as the fitted network's
-    do in ``all_statistics``, so observed and null samples share one definition.
+    The statistics come from ``mean_squares``, as the fitted network's do in
+    ``all_statistics``, so observed and null samples share one definition.
+    The squared gradients of a block of networks sit side by side in one
+    reusable buffer, summed by one ``exact_column_sums`` call.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -239,9 +248,17 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
         u = normalization_factor(stat_cfg, n)
         outputs = np.empty((cfg.m, n))
         stats = np.empty((cfg.m, d))
-        for k, f in enumerate(nets):
-            outputs[k], g = output_and_gradient(f, X)
-            stats[k] = [normalized for _, normalized in column_statistics(g, u)]
+        per_block = max(1, _SUM_BLOCK // (n * d))
+        squares = np.empty((n, min(per_block, cfg.m) * d))
+        fallbacks = 0
+        for start in range(0, cfg.m, per_block):
+            block = nets[start:start + per_block]
+            for r, f in enumerate(block):
+                outputs[start + r], g = output_and_gradient(f, X)
+                np.multiply(g, g, out=squares[:, r * d:(r + 1) * d])
+            _, normalized, certified = mean_squares(squares[:, :len(block) * d], u)
+            stats[start:start + len(block)] = normalized.reshape(len(block), d)
+            fallbacks += int(np.count_nonzero(~certified))
         cov = _gram(outputs)
     with stage(timings, "cholesky"):
         if cfg.lambda_shrink > 0.0:
@@ -250,7 +267,8 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     with stage(timings, "select"):
         idx, rechecked = _select(cov.chol_factor, cfg.seed, cfg.n_p)
     return SharedNull(stats=stats, idx=idx, jitter_used=cov.jitter_used,
-                      rechecked_draws=rechecked, timings=timings)
+                      rechecked_draws=rechecked, fsum_fallbacks=fallbacks,
+                      timings=timings)
 
 
 def _check_variables(variables, d: int) -> None:

@@ -21,6 +21,7 @@ from .network import (
     init_glorot,
     second_moment,
 )
+from .significance import exact_column_sums
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def quadratic_loss(net: Network, X, y) -> float:
     if len(X) != len(y) or len(y) == 0:
         raise InputError(f"X has {len(X)} rows but y has {len(y)} entries")
     r = y - forward_batch(net, X)
-    return 0.5 * math.fsum(r * r) / len(y)
+    return 0.5 * float(exact_column_sums((r * r)[:, None])[0][0]) / len(y)
 
 
 def width_schedule(n: int, depth: int = 2, lipschitz_l: float = 1.0, c: float = 1.0) -> int:

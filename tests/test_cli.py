@@ -107,6 +107,16 @@ class TestGenerateCommand:
         cfg["data"] = {"path": "whatever.csv"}
         assert main(["generate", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_dead_index_out_of_range(self, tmp_path, capsys):
+        for bad in (-1, 3):  # d = 3
+            cfg = base_config(tmp_path, d=3, beta=(1.0, 0.0, 0.5))
+            cfg["data"]["generator"] = {"kind": "null_variable", "dead_index": bad, "n": 50,
+                                        "d": 3, "base": cfg["data"]["generator"]}
+            assert main(["generate", "--config", write_config(tmp_path, cfg)]) == 2
+            err = capsys.readouterr().err
+            assert f"dead_index {bad}" in err and "d=3" in err
+            assert not (tmp_path / "dataset.csv").exists()
+
 
 class TestTrainCommand:
     def test_outputs_and_consistent_risk(self, tmp_path):
@@ -213,6 +223,7 @@ class TestTestCommand:
         assert 1.0 <= null["ess"] <= null["distinct_selected"] <= cfg["test"]["m"]
         assert 0.0 < null["top_share"] <= 1.0
         assert null["rechecked_draws"] >= 0
+        assert null["fsum_fallbacks"] == 0
         stages = ("data", "fit", "sample", "evaluate", "cholesky", "select", "wall_seconds")
         assert all(report["timings"][s] >= 0.0 for s in stages)
 
@@ -225,6 +236,27 @@ class TestTestCommand:
         sidecar = (tmp_path / "null_samples_var1.csv").read_text().strip().splitlines()
         assert sidecar[0] == "sample"
         assert [float(v) for v in sidecar[1:]] == report["results"][0]["null_samples"]
+
+    def test_sidecar_prefix_and_subdirectories(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["output"].update(report="sub/r.json", null_samples_csv_prefix="csv/pre")
+        cfg["test"].update(variables=[0], null_samples_csv=True)
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((tmp_path / "sub" / "r.json").read_text())
+        sidecar = (tmp_path / "csv" / "pre_var0.csv").read_text().strip().splitlines()
+        assert [float(v) for v in sidecar[1:]] == report["results"][0]["null_samples"]
+
+    def test_reused_model_certified_against_moment_bound(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["training"]["moment_bound"] = 0.01
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 0
+        assert main(["test", "--config", path]) == 0
+        summary = json.loads((tmp_path / "train_summary.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        for moment in (summary["fitted"]["moment"], report["fitted"]["moment"]):
+            assert moment["bound_m"] == 0.01
+            assert moment["satisfied"] is False
 
     def test_variable_out_of_range(self, tmp_path, capsys):
         for bad in (5, 1.5, "0"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from nnsig.data import TargetSpec, generate
 from nnsig.exceptions import ConfigurationError, InputError, NumericalError
-from nnsig.network import Network, glorot_sigma, init_glorot
+import nnsig.nulldist
+from nnsig.network import Network, glorot_sigma, init_glorot, input_gradient_batch, second_moment
 from nnsig.nulldist import (
     CovMatrix,
     NullConfig,
@@ -21,8 +24,13 @@ from nnsig.nulldist import (
     significance_test,
     significance_tests,
 )
-from nnsig.significance import StatConfig, empirical_test_statistic
-from nnsig.training import ArchSpec, TrainConfig, fit_least_squares
+from nnsig.significance import (
+    RateConstants,
+    StatConfig,
+    empirical_test_statistic,
+    normalization_factor,
+)
+from nnsig.training import ArchSpec, FittedModel, TrainConfig, fit_least_squares
 
 
 def constant_net(d, c):
@@ -251,6 +259,25 @@ class TestNullDistribution:
         assert np.array_equal(null.idx, _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p))
         assert null.samples(0) == [empirical_test_statistic(nets[k], ds.X, 0).normalized
                                    for k in null.idx]
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_statistics_are_fsum_means_across_blocks(self, activation, monkeypatch):
+        X = np.random.default_rng(41).uniform(-1, 1, (257, 3))
+        net = init_glorot((3, 6, 6, 1), activation, 42)
+        fitted = FittedModel(net, [], 0.0, 6, second_moment(net, X))
+        stat_cfg = StatConfig(normalization_mode="rate", rate_constants=RateConstants(
+            h_n=6, lipschitz=1.0, depth=2, s_over_d=1.0))
+        u = normalization_factor(stat_cfg, len(X))
+        # three networks per exact_column_sums call: blocks of 3, 3 and 1
+        monkeypatch.setattr(nnsig.nulldist, "_SUM_BLOCK", 3 * X.size)
+        cfg = NullConfig(m=7, n_p=20, seed=43)
+        null = build_null(fitted, X, cfg, stat_cfg)
+        nets = sample_networks(cfg.m, net.layer_dims, activation, cfg.seed)
+        for k, f in enumerate(nets):
+            g = input_gradient_batch(f, X)
+            want = [math.fsum(col) / len(X) / (u * u) for col in (g * g).T.tolist()]
+            assert null.stats[k].tolist() == want
+        assert null.fsum_fallbacks == 0
 
     def test_deterministic_across_runs(self, small_fitted):
         fitted, ds = small_fitted

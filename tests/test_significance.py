@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nnsig.significance import (
     all_statistics,
     column_statistics,
     empirical_test_statistic,
+    exact_column_sums,
     normalization_factor,
 )
 
@@ -151,3 +153,92 @@ class TestAllStatistics:
         net = init_glorot((2, 3, 1), "relu", 0)
         with pytest.raises(InputError):
             all_statistics(net, np.empty((0, 2)))
+
+
+@st.composite
+def summand_columns(draw):
+    """An (n, k) array whose columns are hard cases for an exact sum."""
+    n = draw(st.integers(1, 600))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = np.empty((n, k))
+    for j in range(k):
+        kind = draw(st.sampled_from(
+            ["squares", "zeros", "runs", "huge_next_to_tiny", "subnormal", "signed",
+             "nonfinite", "any"]))
+        if kind == "squares":
+            col = (rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))) ** 2
+        elif kind == "zeros":
+            col = np.zeros(n)
+        elif kind == "runs":  # long runs of equal values
+            col = np.repeat(rng.standard_normal(3) ** 2, -(-n // 3))[:n]
+        elif kind == "huge_next_to_tiny":
+            col = rng.uniform(0.0, 1e-300, n)
+            col[rng.integers(n)] = draw(st.sampled_from([1e300, 1.0, -1e308, 1e308]))
+        elif kind == "subnormal":
+            col = rng.integers(0, 2 ** 20, n) * 5e-324
+        elif kind == "signed":
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        elif kind == "nonfinite":
+            col = rng.standard_normal(n)
+            col[rng.integers(n, size=2)] = draw(st.sampled_from(
+                [(math.inf, 1.0), (-math.inf, -math.inf), (math.nan, 0.0),
+                 (math.inf, -math.inf)]))
+        else:
+            col = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)))
+        q[:, j] = col
+    return q
+
+
+def assert_matches_fsum(got, certified, columns):
+    """``got`` equals math.fsum of each column (nan where fsum gives nan), and
+    no column with a non-finite value is certified."""
+    for j, col in enumerate(columns):
+        want = math.fsum(col)
+        assert got[j] == want or math.isnan(got[j]) and math.isnan(want)
+        if not all(map(math.isfinite, col)):
+            assert not certified[j]
+
+
+class TestExactColumnSums:
+    @settings(max_examples=300, deadline=None)
+    @given(q=summand_columns())
+    def test_matches_fsum(self, q):
+        columns = q.T.tolist()
+        try:
+            [math.fsum(col) for col in columns]
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                exact_column_sums(q)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, certified = exact_column_sums(q)
+        assert_matches_fsum(got, certified, columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=summand_columns(), u=st.floats(0.1, 10.0))
+    def test_column_statistics_match_fsum(self, q, u):
+        grads = np.sqrt(np.abs(q)) / 2.0  # squares stay finite where q is
+        n = len(grads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = column_statistics(grads, u)
+        for (raw, normalized), col in zip(stats, (grads * grads).T.tolist()):
+            want = math.fsum(col) / n
+            assert raw == want or math.isnan(raw) and math.isnan(want)
+            assert normalized == raw / (u * u) or math.isnan(normalized)
+
+    def test_midpoint_falls_back(self):
+        # s + E rounds to 1.0, but the sum lies above the midpoint 1 + 2**-53
+        q = np.array([[1.0], [2.0 ** -53], [2.0 ** -106]])
+        got, certified = exact_column_sums(q)
+        assert got[0] == 1.0 + 2.0 ** -52 == math.fsum(q[:, 0])
+        assert not certified[0]
+
+    def test_exact_midpoint_rounds_to_even(self):
+        # the sum is the midpoint itself, and its error terms sum exactly
+        q = np.array([[1.0, 1.0], [2.0 ** -53, 3 * 2.0 ** -53]])
+        got, certified = exact_column_sums(q)
+        assert got.tolist() == [1.0, 1.0 + 2.0 ** -51] == [math.fsum(c) for c in q.T]
+        assert certified.all()
