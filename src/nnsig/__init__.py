@@ -49,7 +49,6 @@ from .significance import (
     StatConfig,
     VariableStatistic,
     all_statistics,
-    empirical_test_statistic,
     normalization_factor,
 )
 from .training import (

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigurationError, IngestionError, InputError
+from .seeding import generator, truncated_normal
 
 
 @dataclass
@@ -103,21 +104,11 @@ def generate(spec: TargetSpec, n: int, d: int, seed: int) -> Dataset:
     """Draw X uniform on [-1,1]^d and y = f(X) + truncated normal noise."""
     if n < 1 or d < 1:
         raise ConfigurationError("n and d must be positive")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & (2 ** 63 - 1))))
+    rng = generator(seed)
     X = rng.uniform(-1.0, 1.0, (n, d))
     f = spec.evaluate(X)
     sigma = spec.noise_sigma
-    if sigma > 0:
-        eps = rng.normal(0.0, sigma, n)
-        while True:
-            bad = np.abs(eps) > 4.0 * sigma
-            k = int(bad.sum())
-            if k == 0:
-                break
-            eps[bad] = rng.normal(0.0, sigma, k)
-        y = f + eps
-    else:
-        y = f
+    y = f + truncated_normal(rng, n, sigma, 4 * sigma) if sigma > 0 else f
     m_y = spec.sup_abs() + 4.0 * sigma
     return Dataset(
         X,
@@ -210,8 +201,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
     """Seeded disjoint row split; transforms and meta carried through."""
     if not (0.0 < train_fraction < 1.0):
         raise ConfigurationError(f"train fraction {train_fraction} outside (0, 1)")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed) & (2 ** 63 - 1))))
-    order = rng.permutation(dataset.n)
+    order = generator(seed).permutation(dataset.n)
     k = int(round(dataset.n * train_fraction))
     k = min(max(k, 1), dataset.n - 1)
     tr, te = order[:k], order[k:]

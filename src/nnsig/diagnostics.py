@@ -17,6 +17,7 @@ import numpy as np
 from .data import Dataset, TargetSpec, generate, split
 from .exceptions import ConfigurationError, DivergenceError
 from .network import Network, forward_batch, init_glorot
+from .seeding import generator
 from .training import ArchSpec, TrainConfig, fit_least_squares
 
 
@@ -54,13 +55,11 @@ def loglog_slope(x_values, errors):
 
 
 def glorot_class_sampler(layer_dims, activation: str):
-    """Return a sampler(count, seed) producing truncated-Glorot networks."""
+    """Return a sampler(count, seed) producing truncated-Glorot networks,
+    network k from stream (0, k) of the master seed."""
 
-    def sampler(count: int, seed) -> list:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else \
-            np.random.SeedSequence(int(seed) & (2 ** 63 - 1))
-        children = ss.spawn(count)
-        return [init_glorot(layer_dims, activation, c) for c in children]
+    def sampler(count: int, seed: int) -> list:
+        return [init_glorot(layer_dims, activation, seed, 0, k) for k in range(count)]
 
     return sampler
 
@@ -79,11 +78,9 @@ def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
         raise ConfigurationError("n_eps and n_class must be at least 1")
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    ss = np.random.SeedSequence(int(seed) & (2 ** 63 - 1))
-    class_ss, eps_ss = ss.spawn(2)
-    fns = class_sampler(n_class, class_ss)
+    fns = class_sampler(n_class, seed)
     outputs = np.stack([_evaluate(f, X) for f in fns])  # (n_class, n)
-    rng = np.random.Generator(np.random.PCG64(eps_ss))
+    rng = generator(seed, 1)
     eps = rng.choice(np.array([-1.0, 1.0]), size=(n_eps, n))
     sups = np.abs(eps @ outputs.T / n).max(axis=1)  # (n_eps,)
     value = float(sups.mean())
@@ -134,9 +131,7 @@ def complexity_scaling_experiment(layer_dims, n_list, seed: int,
     d = layer_dims[0]
     estimates = []
     for i, n in enumerate(n_list):
-        data_rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(int(seed) & (2 ** 63 - 1), spawn_key=(2, i))))
-        X = data_rng.uniform(-1.0, 1.0, (n, d))
+        X = generator(seed, 2, i).uniform(-1.0, 1.0, (n, d))
         # same seed for every n keeps the sampled class fixed across the grid
         estimates.append(estimate_rademacher(sampler, X, n_eps, n_class, seed))
     errs = [e.value for e in estimates]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, FormatError, InputError
+from .seeding import generator, truncated_normal
 
 MAGIC = b"NNSIG1"
 
@@ -100,42 +101,24 @@ def glorot_sigma(input_dim: int) -> float:
     return float(np.sqrt(2.0 / (input_dim + 1)))
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
-def _truncated_normal(rng, shape, sigma, bound):
-    w = rng.normal(0.0, sigma, shape)
-    while True:
-        bad = np.abs(w) > bound
-        k = int(bad.sum())
-        if k == 0:
-            return w
-        w[bad] = rng.normal(0.0, sigma, k)
-
-
-def init_glorot(layer_dims, activation: str, rng_seed) -> Network:
+def init_glorot(layer_dims, activation: str, seed, *key) -> Network:
     """Build a network with weights from N(0, sigma_g), sigma_g = sqrt(2/(d+1)),
     truncated to |w| <= 2*sigma_g by resampling; biases zero.
 
-    ``rng_seed`` may be an int, a SeedSequence or a Generator; given the same
-    seed the result is bit-identical.
+    The weights come from stream ``key`` of master seed ``seed`` (see
+    ``seeding``); given the same seed and key the result is bit-identical.
     """
     dims = tuple(int(v) for v in layer_dims)
     if len(dims) < 2 or any(v <= 0 for v in dims) or dims[-1] != 1:
         raise ConfigurationError(f"invalid layer dims {dims!r}")
     if activation not in _ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {activation!r}")
-    rng = _as_generator(rng_seed)
+    rng = generator(seed, *key)
     sigma = glorot_sigma(dims[0])
     weights = []
     biases = []
     for l in range(len(dims) - 1):
-        weights.append(_truncated_normal(rng, (dims[l + 1], dims[l]), sigma, 2.0 * sigma))
+        weights.append(truncated_normal(rng, (dims[l + 1], dims[l]), sigma, 2.0 * sigma))
         biases.append(np.zeros(dims[l + 1]))
     return Network(dims, tuple(weights), tuple(biases), activation)
 

@@ -10,9 +10,9 @@ Pipeline, run once and shared by every tested variable:
      the argmax coordinate; the null samples of variable j are the selected
      networks' statistics of variable j.
 
-RNG scheme (documented contract): with master seed s, network k uses
-SeedSequence(s, spawn_key=(0, k)) and normal draw t uses
-SeedSequence(s, spawn_key=(1, t)). Draws are therefore independent of
+Random streams (the determinism contract): with master seed s, network k
+comes from stream (0, k) of s and normal draw t from stream (1, t); the
+table of every stream is in ``seeding``. Draws are therefore independent of
 replication order, and the first k networks do not depend on m.
 """
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, InputError, NumericalError
 from .network import forward_batch, init_glorot, output_and_gradient
+from .seeding import generator
 from .significance import (
     StatConfig,
     VariableStatistic,
@@ -118,19 +119,11 @@ class TestResult:
     null: SharedNull  # the same object for every variable of a run
 
 
-def _net_seed(master: int, k: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master & (2 ** 63 - 1), spawn_key=(0, k))
-
-
-def _draw_seed(master: int, t: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master & (2 ** 63 - 1), spawn_key=(1, t))
-
-
 def sample_networks(m: int, layer_dims, activation: str, seed: int) -> list:
     """m truncated-Glorot networks with the given architecture."""
     if m < 2:
         raise ConfigurationError("need at least 2 networks for a covariance estimate")
-    return [init_glorot(layer_dims, activation, _net_seed(seed, k)) for k in range(m)]
+    return [init_glorot(layer_dims, activation, seed, 0, k) for k in range(m)]
 
 
 def _gram(outputs: np.ndarray) -> CovMatrix:
@@ -178,10 +171,6 @@ def cholesky_with_jitter(cov: CovMatrix) -> CovMatrix:
     )
 
 
-def _draw_rng(master: int, t: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_draw_seed(master, t)))
-
-
 def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
     """``_selection_indices`` and the number of draws it recomputed one by one."""
     m = chol.shape[0]
@@ -194,7 +183,7 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
     for start in range(0, n_p, _BLOCK):
         b = min(_BLOCK, n_p - start)
         for r in range(b):
-            _draw_rng(seed, start + r).standard_normal(out=g[r])
+            generator(seed, 1, start + r).standard_normal(out=g[r])
         v = g[:b] @ chol.T
         rows = np.arange(b)
         top = np.argmax(v, axis=1)
@@ -204,7 +193,7 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
         idx[start:start + b] = top
         for r in np.flatnonzero(~(gap > margin * np.linalg.norm(g[:b], axis=1))):
             t = start + int(r)
-            idx[t] = np.argmax(chol @ _draw_rng(seed, t).standard_normal(m))
+            idx[t] = np.argmax(chol @ generator(seed, 1, t).standard_normal(m))
             rechecked += 1
     return idx, rechecked
 
@@ -213,7 +202,7 @@ def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
     """Argmax coordinate (lowest index on ties) of each of n_p draws chol @ g_t.
 
     This is the per-draw definition ``argmax(chol @ g_t)`` with ``g_t`` from
-    ``_draw_seed(seed, t)``, evaluated for blocks of draws in one matrix
+    stream (1, t) of ``seed``, evaluated for blocks of draws in one matrix
     product. The product may sum each m-term dot product in another order
     than the per-draw one. Any summation order lies within
     ``gamma_m * sum_k |L_ik g_k|`` of the exact value, ``gamma_m =

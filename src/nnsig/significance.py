@@ -189,33 +189,12 @@ def mean_squares(squares: np.ndarray, u: float) -> tuple:
         return raw, raw / (u * u), certified
 
 
-def column_statistics(grads: np.ndarray, u: float) -> list:
-    """(raw, normalized) statistic of each column of an (n, d) gradient matrix,
-    as ``mean_squares`` of its squares gives them."""
-    raw, normalized, _ = mean_squares(grads * grads, u)
-    return list(zip(raw.tolist(), normalized.tolist()))
-
-
-def empirical_test_statistic(
-    net: Network, X, j: int, cfg: StatConfig = StatConfig()
-) -> VariableStatistic:
-    """Mean of (df/dx_j)^2 over the rows of X, plus its normalized value."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.size == 0:
-        raise InputError("empty covariate matrix")
-    if not (0 <= j < net.input_dim):
-        raise InputError(f"variable index {j} out of range for dimension {net.input_dim}")
-    grads = input_gradient_batch(net, X)[:, [j]]
-    raw, normalized = column_statistics(grads, normalization_factor(cfg, len(X)))[0]
-    return VariableStatistic(j, raw, normalized, len(X))
-
-
 def all_statistics(net: Network, X, cfg: StatConfig = StatConfig()) -> list:
     """One VariableStatistic per input dimension from a single gradient pass."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise InputError("empty covariate matrix")
     grads = input_gradient_batch(net, X)
-    stats = column_statistics(grads, normalization_factor(cfg, len(X)))
-    return [VariableStatistic(j, raw, normalized, len(X))
-            for j, (raw, normalized) in enumerate(stats)]
+    raw, normalized, _ = mean_squares(grads * grads, normalization_factor(cfg, len(X)))
+    return [VariableStatistic(j, r, v, len(X))
+            for j, (r, v) in enumerate(zip(raw.tolist(), normalized.tolist()))]

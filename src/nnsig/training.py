@@ -21,7 +21,7 @@ from .network import (
     init_glorot,
     second_moment,
 )
-from .significance import exact_column_sums
+from .seeding import generator
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ def quadratic_loss(net: Network, X, y) -> float:
     if len(X) != len(y) or len(y) == 0:
         raise InputError(f"X has {len(X)} rows but y has {len(y)} entries")
     r = y - forward_batch(net, X)
-    return 0.5 * float(exact_column_sums((r * r)[:, None])[0][0]) / len(y)
+    return 0.5 * math.fsum((r * r).tolist()) / len(y)
 
 
-def width_schedule(n: int, depth: int = 2, lipschitz_l: float = 1.0, c: float = 1.0) -> int:
+def width_schedule(n: int, c: float = 1.0) -> int:
     """H_n = max(2, ceil(c * n^(1/4))), which keeps H_n * L^depth / sqrt(n) -> 0
     for any fixed depth."""
     if n < 2:
@@ -141,63 +141,64 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
 
     width = arch_spec.width
     if width is None:
-        width = width_schedule(n, arch_spec.depth, c=arch_spec.width_c)
+        width = width_schedule(n, arch_spec.width_c)
     dims = (d,) + (width,) * arch_spec.depth + (1,)
 
-    ss = np.random.SeedSequence(cfg.seed & (2 ** 63 - 1))
-    init_ss, shuffle_ss = ss.spawn(2)
-    net0 = init_glorot(dims, arch_spec.activation, init_ss)
+    net0 = init_glorot(dims, arch_spec.activation, cfg.seed, 0)
     weights = [w.copy() for w in net0.weights]
     biases = [b.copy() for b in net0.biases]
     pair = _ACTIVATIONS[arch_spec.activation][1]
 
-    rng = np.random.Generator(np.random.PCG64(shuffle_ss))
+    rng = generator(cfg.seed, 1)
     lr = cfg.learning_rate
     history = []
     best = None
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            gw, gb, sq = _batch_gradients(weights, biases, pair, X[idx], y[idx])
-            if not np.isfinite(sq):
+    # overflow and inf - inf in a diverging fit end in the DivergenceError
+    # checks below, so numpy need not warn about them first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                gw, gb, sq = _batch_gradients(weights, biases, pair, X[idx], y[idx])
+                if not np.isfinite(sq):
+                    raise DivergenceError(
+                        f"non-finite gradient at epoch {epoch}, learning rate {lr:.6g}"
+                    )
+                scale = lr
+                norm = math.sqrt(sq)
+                if norm > cfg.max_grad_norm:
+                    scale = lr * cfg.max_grad_norm / norm
+                for l in range(len(weights)):
+                    weights[l] -= scale * gw[l]
+                    biases[l] -= scale * gb[l]
+            lr *= cfg.lr_decay
+
+            net = Network(dims, tuple(w.copy() for w in weights), tuple(b.copy() for b in biases),
+                          arch_spec.activation)
+            loss = quadratic_loss(net, X, y)
+            if not np.isfinite(loss):
                 raise DivergenceError(
-                    f"non-finite gradient at epoch {epoch}, learning rate {lr:.6g}"
+                    f"non-finite loss at epoch {epoch}, learning rate {lr:.6g}"
                 )
-            scale = lr
-            norm = math.sqrt(sq)
-            if norm > cfg.max_grad_norm:
-                scale = lr * cfg.max_grad_norm / norm
-            for l in range(len(weights)):
-                weights[l] -= scale * gw[l]
-                biases[l] -= scale * gb[l]
-        lr *= cfg.lr_decay
+            history.append(loss)
+            if best is None or loss < best[0]:
+                best = (loss, net)
+            # plateau check: averaging over the window irons out mini-batch wiggle
+            w = cfg.early_stop_window
+            if len(history) >= 2 * w:
+                prior = math.fsum(history[-2 * w : -w]) / w
+                recent = math.fsum(history[-w:]) / w
+                if prior > 0 and recent > prior * (1.0 - cfg.tolerance):
+                    break
 
-        net = Network(dims, tuple(w.copy() for w in weights), tuple(b.copy() for b in biases),
-                      arch_spec.activation)
-        loss = quadratic_loss(net, X, y)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch}, learning rate {lr:.6g}"
-            )
-        history.append(loss)
-        if best is None or loss < best[0]:
-            best = (loss, [w.copy() for w in weights], [b.copy() for b in biases])
-        # plateau check: averaging over the window irons out mini-batch wiggle
-        w = cfg.early_stop_window
-        if len(history) >= 2 * w:
-            prior = math.fsum(history[-2 * w : -w]) / w
-            recent = math.fsum(history[-w:]) / w
-            if prior > 0 and recent > prior * (1.0 - cfg.tolerance):
-                break
-
-    # return the best epoch's weights: the last epoch can sit on a
+    # return the best epoch's network: the last epoch can sit on a
     # mini-batch wiggle when the learning rate is still large
-    net = Network(dims, tuple(best[1]), tuple(best[2]), arch_spec.activation)
+    loss, net = best
     return FittedModel(
         net=net,
         train_loss_history=history,
-        final_empirical_risk=best[0],
+        final_empirical_risk=loss,
         width_used=width,
         moment=second_moment(net, X, cfg.moment_bound),
     )

@@ -140,6 +140,7 @@ class TestTrainCommand:
         summary = json.loads((tmp_path / "train_summary.json").read_text())
         assert summary["fitted"]["width"] == width_schedule(300)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg["architecture"] = {"width": 5, "activation": "relu"}

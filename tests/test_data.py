@@ -4,7 +4,7 @@ import pytest
 from nnsig.data import Dataset, TargetSpec, generate, load_csv, save_csv, split
 from nnsig.exceptions import ConfigurationError, IngestionError
 from nnsig.network import linear_network
-from nnsig.significance import empirical_test_statistic
+from nnsig.significance import all_statistics
 
 
 class TestGenerate:
@@ -157,5 +157,5 @@ class TestRescaleChainRule:
         center, half = ds.rescale_transform[0]
         net = linear_network([3.0 * half], 3.0 * center)
         # fitted-in-rescaled-coordinates slope is beta * half; statistic beta^2 * half^2
-        stat = empirical_test_statistic(net, ds.X, 0)
+        stat = all_statistics(net, ds.X)[0]
         assert stat.raw == pytest.approx(9.0 * half ** 2, rel=1e-12)

@@ -12,7 +12,6 @@ from nnsig.network import Network, glorot_sigma, init_glorot, input_gradient_bat
 from nnsig.nulldist import (
     CovMatrix,
     NullConfig,
-    _draw_seed,
     _select,
     _selection_indices,
     build_null,
@@ -24,10 +23,11 @@ from nnsig.nulldist import (
     significance_test,
     significance_tests,
 )
+from nnsig.seeding import generator
 from nnsig.significance import (
     RateConstants,
     StatConfig,
-    empirical_test_statistic,
+    all_statistics,
     normalization_factor,
 )
 from nnsig.training import ArchSpec, FittedModel, TrainConfig, fit_least_squares
@@ -169,7 +169,7 @@ class TestCholeskyWithJitter:
 
 
 def seeded_draw(seed, t, m):
-    return np.random.Generator(np.random.PCG64(_draw_seed(seed, t))).standard_normal(m)
+    return generator(seed, 1, t).standard_normal(m)
 
 
 class TestNullSample:
@@ -177,8 +177,7 @@ class TestNullSample:
         chol = np.linalg.cholesky(np.eye(6) + 0.3)
         idx = _selection_indices(chol, 21, 50)
         for t, k in enumerate(idx):
-            g = np.random.Generator(np.random.PCG64(_draw_seed(21, t))).standard_normal(6)
-            assert k == np.argmax(chol @ g)
+            assert k == np.argmax(chol @ seeded_draw(21, t, 6))
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(2, 40), factor_seed=st.integers(0, 1000),
@@ -257,7 +256,7 @@ class TestNullDistribution:
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
         cov = cholesky_with_jitter(empirical_covariance(nets, ds.X))
         assert np.array_equal(null.idx, _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p))
-        assert null.samples(0) == [empirical_test_statistic(nets[k], ds.X, 0).normalized
+        assert null.samples(0) == [all_statistics(nets[k], ds.X)[0].normalized
                                    for k in null.idx]
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
@@ -329,7 +328,7 @@ class TestSignificanceTest:
         for j, res in enumerate(shared):
             alone = significance_test(fitted, ds, j, cfg)
             assert res.variable_index == alone.variable_index
-            assert res.observed == alone.observed == empirical_test_statistic(fitted.net, ds.X, j)
+            assert res.observed == alone.observed == all_statistics(fitted.net, ds.X)[j]
             assert res.null_samples == alone.null_samples
             assert res.p_value == alone.p_value
             assert res.seed == alone.seed

@@ -12,9 +12,8 @@ from nnsig.significance import (
     RateConstants,
     StatConfig,
     all_statistics,
-    column_statistics,
-    empirical_test_statistic,
     exact_column_sums,
+    mean_squares,
     normalization_factor,
 )
 
@@ -28,7 +27,7 @@ class TestEmpiricalStatistic:
     def test_linear_case_identity(self):
         net = linear_network([2.0, 0.0, 1.0])
         X = np.random.default_rng(0).uniform(-1, 1, (137, 3))
-        stats = [empirical_test_statistic(net, X, j).raw for j in range(3)]
+        stats = [s.raw for s in all_statistics(net, X)]
         assert stats == pytest.approx([4.0, 0.0, 1.0], abs=1e-12)
 
     def test_disconnected_variable_zero(self):
@@ -39,7 +38,7 @@ class TestEmpiricalStatistic:
 
         net = Network(net.layer_dims, (w1,) + net.weights[1:], net.biases, "tanh")
         X = np.random.default_rng(1).uniform(-1, 1, (50, 3))
-        assert empirical_test_statistic(net, X, 1).raw == 0.0
+        assert all_statistics(net, X)[1].raw == 0.0
 
     def test_matches_naive_row_loop(self):
         net = init_glorot((3, 6, 6, 1), "tanh", 5)
@@ -50,13 +49,7 @@ class TestEmpiricalStatistic:
             for i in range(200):
                 naive += grads[i, j] ** 2
             naive /= 200
-            assert empirical_test_statistic(net, X, j).raw == pytest.approx(naive, abs=1e-12)
-
-    def test_out_of_range_index(self):
-        net = init_glorot((3, 4, 1), "tanh", 0)
-        X = np.zeros((5, 3))
-        with pytest.raises(InputError):
-            empirical_test_statistic(net, X, 3)
+            assert all_statistics(net, X)[j].raw == pytest.approx(naive, abs=1e-12)
 
     def test_permutation_stability(self):
         net = init_glorot((4, 8, 8, 1), "sigmoid", 9)
@@ -70,7 +63,7 @@ class TestEmpiricalStatistic:
         net = init_glorot((3, 7, 7, 1), "tanh", 4)
         X = np.random.default_rng(4).uniform(-1, 1, (1_000_000, 3))
         grads = input_gradient_batch(net, X)
-        got = empirical_test_statistic(net, X, 0).raw
+        got = all_statistics(net, X)[0].raw
         acc = np.longdouble(0.0)
         col = grads[:, 0].astype(np.longdouble)
         for chunk in np.array_split(col * col, 100):
@@ -88,8 +81,7 @@ class TestEmpiricalStatistic:
         X = np.random.default_rng(seed).uniform(-1, 1, (30, len(beta)))
         if np.any(X == 0.0):
             return
-        for j, b in enumerate(beta):
-            stat = empirical_test_statistic(net, X, j)
+        for stat, b in zip(all_statistics(net, X), beta):
             assert stat.raw >= 0.0
             assert stat.raw == pytest.approx(b * b, abs=1e-12)
 
@@ -120,7 +112,7 @@ class TestNormalization:
     def test_normalized_is_raw_over_u_squared(self):
         net = init_glorot((3, 5, 5, 1), "tanh", 6)
         X = np.random.default_rng(5).uniform(-1, 1, (100, 3))
-        stat = empirical_test_statistic(net, X, 0, RATE_CFG)
+        stat = all_statistics(net, X, RATE_CFG)[0]
         u = normalization_factor(RATE_CFG, 100)
         assert stat.normalized == pytest.approx(stat.raw / u ** 2, rel=1e-15)
 
@@ -129,18 +121,22 @@ class TestAllStatistics:
     def test_matches_separate_calls_bitwise(self):
         net = init_glorot((3, 6, 6, 1), "sigmoid", 7)
         X = np.random.default_rng(6).uniform(-1, 1, (80, 3))
-        batch = all_statistics(net, X)
+        batch = all_statistics(net, X, RATE_CFG)
+        g = input_gradient_batch(net, X)
+        u = normalization_factor(RATE_CFG, len(X))
         for j in range(3):
-            single = empirical_test_statistic(net, X, j)
-            assert batch[j].raw == single.raw
-            assert batch[j].normalized == single.normalized
+            raw, normalized, _ = mean_squares(g[:, [j]] ** 2, u)
+            assert batch[j].raw == raw[0]
+            assert batch[j].normalized == normalized[0]
 
-    def test_column_statistics_are_fsum_means(self):
+    def test_mean_squares_are_fsum_means(self):
         grads = np.random.default_rng(8).normal(size=(50, 3)) * [1e-8, 1.0, 1e8]
         u = 1.7
-        for j, (raw, normalized) in enumerate(column_statistics(grads, u)):
-            assert raw == math.fsum(g * g for g in grads[:, j].tolist()) / 50
-            assert normalized == raw / (u * u)
+        raw, normalized, certified = mean_squares(grads * grads, u)
+        for j in range(3):
+            assert raw[j] == math.fsum(g * g for g in grads[:, j].tolist()) / 50
+            assert normalized[j] == raw[j] / (u * u)
+        assert certified.all()
 
     def test_linear_vector(self):
         net = linear_network([2.0, 0.0, 1.0])
@@ -218,12 +214,13 @@ class TestExactColumnSums:
 
     @settings(max_examples=100, deadline=None)
     @given(q=summand_columns(), u=st.floats(0.1, 10.0))
-    def test_column_statistics_match_fsum(self, q, u):
+    def test_mean_squares_match_fsum(self, q, u):
         grads = np.sqrt(np.abs(q)) / 2.0  # squares stay finite where q is
         n = len(grads)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = column_statistics(grads, u)
+            raw_sums, normalized_sums, _ = mean_squares(grads * grads, u)
+        stats = zip(raw_sums.tolist(), normalized_sums.tolist())
         for (raw, normalized), col in zip(stats, (grads * grads).T.tolist()):
             want = math.fsum(col) / n
             assert raw == want or math.isnan(raw) and math.isnan(want)

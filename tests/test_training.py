@@ -142,6 +142,7 @@ class TestFitLeastSquares:
         assert fitted.width_used == width_schedule(2000)
         assert fitted.net.layer_dims == (1, fitted.width_used, fitted.width_used, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_reports_epoch(self):
         spec = TargetSpec(kind="linear", beta=(1.0, 1.0), noise_sigma=0.1)
         ds = generate(spec, 200, 2, seed=12)
