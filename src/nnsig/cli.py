@@ -221,6 +221,13 @@ def _fitted_summary(fitted) -> dict:
     }
 
 
+def _training_summary(fitted) -> dict:
+    """Why the fit stopped and its best epoch, apart from ``_fitted_summary``
+    so that the numeric blob of ``results`` and ``fitted`` keeps its bytes;
+    both are None for a reused model."""
+    return {"stop_reason": fitted.stop_reason, "best_epoch": fitted.best_epoch}
+
+
 def _null_summary(null) -> dict:
     return {
         "jitter_used": null.jitter_used,
@@ -273,6 +280,7 @@ def cmd_train(cfg: dict, echo: dict) -> int:
         "version": __version__,
         "master_seed": cfg["seed"],
         "fitted": _fitted_summary(fitted),
+        "training": _training_summary(fitted),
         "model_path": str(model_path),
         "loss_history_path": str(history_path),
     }
@@ -296,7 +304,10 @@ def cmd_test(cfg: dict, echo: dict) -> int:
                 raise InputError(
                     f"model expects dimension {net.input_dim}, data has {dataset.d}"
                 )
-            risk = quadratic_loss(net, dataset.X, dataset.y)
+            try:
+                risk = quadratic_loss(net, dataset.X, dataset.y)
+            except NumericalError as exc:
+                raise NumericalError(f"model {model_path}: {exc}") from None
             fitted = FittedModel(
                 net=net,
                 train_loss_history=[risk],
@@ -344,6 +355,7 @@ def cmd_test(cfg: dict, echo: dict) -> int:
         "master_seed": cfg["seed"],
         "config_echo": echo,
         "fitted": _fitted_summary(fitted),
+        "training": _training_summary(fitted),
         "flags": {
             "normalization_mode": stat_cfg.normalization_mode,
             "sigma_scale": null_cfg.sigma_scale,

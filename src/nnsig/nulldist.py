@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, InputError, NumericalError
 from .network import forward_batch, init_glorot, output_and_gradient
-from .seeding import generator
+from .seeding import generator, standard_normal_rows
 from .significance import (
     StatConfig,
     VariableStatistic,
@@ -182,8 +182,7 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
     rechecked = 0
     for start in range(0, n_p, _BLOCK):
         b = min(_BLOCK, n_p - start)
-        for r in range(b):
-            generator(seed, 1, start + r).standard_normal(out=g[r])
+        standard_normal_rows(seed, 1, start, g[:b])
         v = g[:b] @ chol.T
         rows = np.arange(b)
         top = np.argmax(v, axis=1)
@@ -214,6 +213,11 @@ def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
     ``4 gamma_m R |g_t|``. Every draw whose gap is not above twice that
     (a margin for the rounding of the norms), exact ties included, is
     recomputed by the per-draw definition, so each index is bit-identical.
+
+    The rows of a block are filled by ``seeding.standard_normal_rows``, which
+    derives the PCG64 states of the block's streams at once and gives the
+    same normals as ``generator(seed, 1, t)``; the per-draw recheck calls
+    ``generator`` itself, which stays the definition.
     """
     return _select(chol, seed, n_p)[0]
 

@@ -21,6 +21,18 @@ Spawn keys in use (this table is the determinism contract):
 
 Key ``(i,)`` gives the state of ``SeedSequence(s).spawn(i + 1)[i]`` and key
 ``(i, k)`` that of ``SeedSequence(s).spawn(i + 1)[i].spawn(k + 1)[k]``.
+
+The null draws are many short streams, and building a ``SeedSequence`` and
+a ``PCG64`` for each costs more than its normals. ``standard_normal_rows``
+fills a block of them from states derived in numpy for the whole block:
+keys ``(head, t)`` differ only in their last spawn-key word, so the
+``SeedSequence`` pool of ``(head,)`` is shared and the last word's mixing,
+``generate_state`` and PCG64's seeding step run over all t at once, with
+O'Neill's ``seed_seq_fe`` constants as numpy uses them. The normals are
+bit-identical to ``generator(seed, head, t)``'s, which stays the definition
+(``tests/test_seeding.py`` checks the two against each other); any
+``t >= 2**32`` spans two key words and goes through ``generator``. The key
+table above is unchanged by it.
 """
 
 from __future__ import annotations
@@ -41,6 +53,84 @@ def stream(seed, *key) -> np.random.SeedSequence:
 def generator(seed, *key) -> np.random.Generator:
     """A PCG64 generator on stream ``key`` under master seed ``seed``."""
     return np.random.Generator(np.random.PCG64(stream(seed, *key)))
+
+
+# O'Neill's seed_seq_fe constants (pcg-cpp), as numpy's SeedSequence uses
+# them: pool hash (A), mixing (L, R) and output hash (B).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_WORD = 2 ** 32
+# PCG64's 128-bit LCG multiplier (pcg_setseq_128, numpy's PCG64)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2 ** 128 - 1
+
+
+def _hash(value: np.ndarray, h: int, mult: int) -> np.ndarray:
+    """seed_seq_fe's uint32 hash of ``value`` under hash constant ``h``:
+    ``(value ^ h) * (h * mult)``, then ``x ^ (x >> 16)``."""
+    value = (value ^ np.uint32(h)) * np.uint32(h * mult % _WORD)
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_states(seed, head: int, last: np.ndarray):
+    """Yield ``(state, inc)`` of ``PCG64(stream(seed, head, t))`` for every t
+    in ``last`` (uint32), hashed for all t at once.
+
+    Stream ``(head, t)`` hashes the entropy words ``[seed words padded to 4,
+    head, t]`` into a pool of four: the pool before the last word is that of
+    stream ``(head,)``, and the hash constant has stepped 4 + 12 + 4 times.
+    The last word is mixed into each pool word, ``generate_state(4, uint64)``
+    hashes the pool into eight words, and PCG64 seeds its LCG from the four
+    uint64 ``s`` by ``inc = 2 * (s2 s3) + 1`` and ``state = (inc + (s0 s1)) *
+    MULT + inc``, modulo 2**128.
+    """
+    h = _INIT_A * pow(_MULT_A, 20, _WORD) % _WORD
+    pool = []
+    for p in stream(seed, head).pool.tolist():
+        mixed = (np.uint32(_MIX_MULT_L * p % _WORD)
+                 - np.uint32(_MIX_MULT_R) * _hash(last, h, _MULT_A))
+        pool.append(mixed ^ (mixed >> np.uint32(16)))
+        h = h * _MULT_A % _WORD
+    # generate_state(4, uint64): eight hashed words, paired low word first
+    h = _INIT_B
+    words = []
+    for i in range(8):
+        words.append(_hash(pool[i % 4], h, _MULT_B).astype(np.uint64))
+        h = h * _MULT_B % _WORD
+    s = np.stack([words[2 * k] | (words[2 * k + 1] << np.uint64(32)) for k in range(4)], axis=1)
+    # yielded row by row, so a block's 128-bit states are never all alive at
+    # once: a full list of them measurably raised the peak RSS
+    for s0, s1, s2, s3 in s.tolist():
+        inc = (((s2 << 64 | s3) << 1) | 1) & _MASK128
+        yield ((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc)
+
+
+def standard_normal_rows(seed, head: int, start: int, out: np.ndarray) -> None:
+    """Fill row r of ``out`` with the standard normals of stream ``(head,
+    start + r)``: the numbers ``generator(seed, head, start +
+    r).standard_normal(out.shape[1])``.
+
+    The PCG64 states of keys whose words fit in 32 bits each come from
+    ``_pcg64_states``, and one reused generator is set to each in turn; any
+    other key, ``t >= 2**32`` say, takes more spawn-key words and goes
+    through ``generator``.
+    """
+    rows = len(out)
+    fast = max(0, min(rows, _WORD - start)) if head < _WORD else 0
+    if fast:
+        rng = generator(seed, head, start)  # its state is replaced row by row
+        last = np.arange(start, start + fast, dtype=np.uint32)
+        for r, (state, inc) in enumerate(_pcg64_states(seed, head, last)):
+            rng.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            rng.standard_normal(out=out[r])
+    for r in range(fast, rows):
+        generator(seed, head, start + r).standard_normal(out=out[r])
 
 
 def truncated_normal(rng: np.random.Generator, shape, sigma: float, bound: float) -> np.ndarray:

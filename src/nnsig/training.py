@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DivergenceError, InputError
+from .exceptions import ConfigurationError, DivergenceError, InputError, NumericalError
 from .network import (
     Network,
     MomentCertificate,
@@ -72,6 +72,10 @@ class FittedModel:
     final_empirical_risk: float
     width_used: int
     moment: MomentCertificate
+    # why fit_least_squares stopped ("plateau" or "epoch_cap") and the index
+    # of the epoch whose network it returned; None for a network not fitted
+    stop_reason: str | None = None
+    best_epoch: int | None = None
 
 
 def quadratic_loss(net: Network, X, y) -> float:
@@ -81,7 +85,11 @@ def quadratic_loss(net: Network, X, y) -> float:
     if len(X) != len(y) or len(y) == 0:
         raise InputError(f"X has {len(X)} rows but y has {len(y)} entries")
     r = y - forward_batch(net, X)
-    return 0.5 * math.fsum((r * r).tolist()) / len(y)
+    try:
+        return 0.5 * math.fsum((r * r).tolist()) / len(y)
+    except OverflowError:  # finite squares whose sum exceeds the float range
+        raise NumericalError("the quadratic loss overflows: the squared residuals "
+                             "sum beyond the float range") from None
 
 
 def width_schedule(n: int, c: float = 1.0) -> int:
@@ -153,6 +161,7 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
     lr = cfg.learning_rate
     history = []
     best = None
+    stop_reason = "epoch_cap"
     # overflow and inf - inf in a diverging fit end in the DivergenceError
     # checks below, so numpy need not warn about them first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,22 +192,25 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
                 )
             history.append(loss)
             if best is None or loss < best[0]:
-                best = (loss, net)
+                best = (loss, epoch, net)
             # plateau check: averaging over the window irons out mini-batch wiggle
             w = cfg.early_stop_window
             if len(history) >= 2 * w:
                 prior = math.fsum(history[-2 * w : -w]) / w
                 recent = math.fsum(history[-w:]) / w
                 if prior > 0 and recent > prior * (1.0 - cfg.tolerance):
+                    stop_reason = "plateau"
                     break
 
     # return the best epoch's network: the last epoch can sit on a
     # mini-batch wiggle when the learning rate is still large
-    loss, net = best
+    loss, best_epoch, net = best
     return FittedModel(
         net=net,
         train_loss_history=history,
         final_empirical_risk=loss,
         width_used=width,
         moment=second_moment(net, X, cfg.moment_bound),
+        stop_reason=stop_reason,
+        best_epoch=best_epoch,
     )

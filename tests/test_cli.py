@@ -17,7 +17,7 @@ from nnsig import cli
 from nnsig.cli import main
 from nnsig.data import TargetSpec, generate, load_csv
 from nnsig.exceptions import ConfigurationError
-from nnsig.network import load as load_network
+from nnsig.network import linear_network, load as load_network, save as save_network
 from nnsig.nulldist import NullConfig
 from nnsig.training import ArchSpec, TrainConfig, quadratic_loss, width_schedule
 
@@ -140,6 +140,26 @@ class TestTrainCommand:
         summary = json.loads((tmp_path / "train_summary.json").read_text())
         assert summary["fitted"]["width"] == width_schedule(300)
 
+    @pytest.mark.parametrize("training, reason", [
+        # a tolerance of 0.9 calls any two windows of 10 epochs a plateau
+        ({"epochs": 40, "tolerance": 0.9}, "plateau"),
+        # fewer epochs than two windows of 10 never compare them
+        ({"epochs": 15}, "epoch_cap"),
+    ])
+    def test_stop_reason_and_best_epoch(self, tmp_path, training, reason):
+        cfg = base_config(tmp_path)
+        cfg["training"].update(training)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        summary = json.loads((tmp_path / "train_summary.json").read_text())
+        rows = (tmp_path / "loss_history.csv").read_text().strip().splitlines()[1:]
+        losses = [float(row.split(",")[1]) for row in rows]
+        assert summary["training"]["stop_reason"] == reason
+        assert (len(losses) < training["epochs"]) == (reason == "plateau")
+        best = summary["training"]["best_epoch"]
+        assert losses[best] == min(losses) == summary["fitted"]["final_risk"]
+        assert losses.index(min(losses)) == best
+        assert not {"stop_reason", "best_epoch"} & set(summary["fitted"])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -183,6 +203,7 @@ class TestTestCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         # loading a model skips training: the history collapses to one entry
         assert report["fitted"]["epochs_run"] == 1
+        assert report["training"] == {"stop_reason": None, "best_epoch": None}
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -273,6 +294,15 @@ class TestTestCommand:
         cfg["data"] = {"path": str(tmp_path / "dataset.csv"), "target_column": "y"}
         report = self.run_test(tmp_path, cfg, "t.json")
         assert len(report["results"]) == 2
+
+    def test_overflowing_reused_model_is_a_numerical_error(self, tmp_path, capsys):
+        # squared residuals near 1e308 each: their sum overflows in math.fsum
+        cfg = base_config(tmp_path, n=50)
+        save_network(linear_network([1.3e154, 0.0], 0.0), tmp_path / "model.nnsig")
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(tmp_path / "model.nnsig") in err
 
     def test_model_dimension_mismatch(self, tmp_path):
         cfg = base_config(tmp_path)

@@ -6,13 +6,14 @@ import pytest
 
 import nnsig
 from nnsig.network import init_glorot
-from nnsig.seeding import generator, stream
+from nnsig.seeding import _pcg64_states, generator, standard_normal_rows, stream
 
 SRC = Path(nnsig.__file__).parent
 RANDOM_CONSTRUCTORS = {"SeedSequence", "PCG64", "Generator", "default_rng", "RandomState"}
 
 # 0, the largest unmasked seed, and one whose low 63 bits span two words
 SEEDS = (0, 2 ** 63 - 1, 2 ** 70 + 2 ** 62 + 12345)
+LAST_FAST_KEY = 2 ** 32 - 1  # the last draw key of one spawn-key word
 
 
 def _callee(node: ast.Call) -> str:
@@ -62,3 +63,31 @@ def test_negative_seed_is_masked_like_every_other_entry_point():
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
+
+def _library_draw(seed, t):
+    """PCG64 on stream (1, t), built by numpy alone."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seed & (2 ** 63 - 1), spawn_key=(1, t))))
+
+
+@pytest.mark.parametrize("seed", SEEDS + (-987654321,))
+def test_vectorized_draw_states_equal_the_library(seed):
+    # a run of keys across several 256-draw blocks, and the last fast key
+    keys = list(range(200, 1100)) + [LAST_FAST_KEY]
+    states = _pcg64_states(seed, 1, np.array(keys, dtype=np.uint32))
+    for t, (state, inc) in zip(keys, states):
+        want = _library_draw(seed, t).bit_generator.state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), t
+
+
+@pytest.mark.parametrize("seed", SEEDS + (-987654321,))
+@pytest.mark.parametrize("start, rows", [
+    (200, 600),  # within one key word, across 256-draw block boundaries
+    (LAST_FAST_KEY - 2, 6),  # the last fast keys, then 2**32 onwards
+    (2 ** 32 + 3, 2),  # only keys of two words
+])
+def test_normal_rows_equal_the_library(seed, start, rows):
+    out = np.full((rows, 37), np.nan)
+    standard_normal_rows(seed, 1, start, out)
+    for r in range(rows):
+        assert np.array_equal(out[r], _library_draw(seed, start + r).standard_normal(37)), r
