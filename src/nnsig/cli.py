@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .data import Dataset, TargetSpec, generate, load_csv, save_csv
+from .data import Dataset, TargetSpec, generate, load_csv, save_csv, write_csv
 from .exceptions import ConfigurationError, InputError, NumericalError
 from .diagnostics import approximation_rate_experiment, complexity_scaling_experiment
 from .network import load as load_network, save as save_network, second_moment
@@ -68,6 +68,13 @@ def _width(raw):
 
 _integers, _reals = _list_of(_integer), _list_of(_real)
 
+# Every output file and its default name under output.dir.
+_OUTPUTS = {"dataset": "dataset.csv", "model": "model.nnsig",
+            "loss_history": "loss_history.csv", "train_summary": "train_summary.json",
+            "report": "report.json", "null_samples_csv_prefix": "null_samples",
+            "complexity_csv": "complexity.csv", "approximation_csv": "approximation.csv",
+            "diagnostics_report": "diagnostics.json"}
+
 # Every config key and its kind: a converter, a nested table for a JSON
 # object, or None for a retired key that is accepted and ignored.
 _GENERATOR = {"kind": _string, "beta": _reals, "intercept": _real, "frequency": _reals,
@@ -77,9 +84,7 @@ _TRAINING = {"epochs": _integer, "batch_size": _integer, "learning_rate": _real,
              "lr_decay": _real, "tolerance": _real}
 _KEYS = {
     "seed": _integer,
-    "output": dict.fromkeys(("dir", "dataset", "model", "loss_history", "train_summary",
-                             "report", "null_samples_csv_prefix", "complexity_csv",
-                             "approximation_csv", "diagnostics_report"), _string),
+    "output": dict.fromkeys(("dir", *_OUTPUTS), _string),
     "data": {"path": _string, "target_column": _string, "generator": _GENERATOR},
     "architecture": {"depth": _integer, "width": _width, "activation": _string,
                      "width_c": _real},
@@ -158,10 +163,10 @@ def _require(section: dict, key: str, *names) -> None:
             raise ConfigurationError(f"{key}.{name}: missing")
 
 
-def _build(cls, key: str, fields: dict):
-    """``cls(**fields)``; its errors name ``key``, the section the fields came from."""
+def _build(make, key: str, fields: dict):
+    """``make(**fields)``; its errors name ``key``, the section the fields came from."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{key}: {exc}") from None
 
@@ -171,10 +176,10 @@ def _pick(section: dict, *names) -> dict:
     return {name: section[name] for name in names if name in section}
 
 
-def _out_path(cfg: dict, key: str, default: str) -> Path:
+def _out_path(cfg: dict, key: str) -> Path:
     """The path of output ``key`` under ``output.dir``; its directory is created."""
     out = cfg["output"]
-    path = Path(out.get("dir", ".")) / out.get(key, default)
+    path = Path(out.get("dir", ".")) / out.get(key, _OUTPUTS[key])
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -207,7 +212,7 @@ def _stat_config(test: dict) -> StatConfig:
 
 def _fitted_summary(fitted) -> dict:
     return {
-        "width": fitted.width_used,
+        "width": fitted.net.hidden_width,
         "depth": fitted.net.depth,
         "activation": fitted.net.activation,
         "layer_dims": list(fitted.net.layer_dims),
@@ -249,7 +254,7 @@ def cmd_generate(cfg: dict, echo: dict) -> int:
     if "generator" not in cfg.get("data", {}):
         raise ConfigurationError("generate needs a data.generator section")
     dataset = _dataset_from_config(cfg)
-    path = _out_path(cfg, "dataset", "dataset.csv")
+    path = _out_path(cfg, "dataset")
     save_csv(dataset, path)
     print(f"wrote {dataset.n} rows, {dataset.d} covariates to {path}")
     return 0
@@ -267,14 +272,11 @@ def _fit(cfg: dict, dataset: Dataset):
 def cmd_train(cfg: dict, echo: dict) -> int:
     dataset = _dataset_from_config(cfg)
     fitted = _fit(cfg, dataset)
-    model_path = _out_path(cfg, "model", "model.nnsig")
+    model_path = _out_path(cfg, "model")
     save_network(fitted.net, model_path)
 
-    history_path = _out_path(cfg, "loss_history", "loss_history.csv")
-    with open(history_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(fitted.train_loss_history):
-            fh.write(f"{i},{loss!r}\n")
+    history_path = _out_path(cfg, "loss_history")
+    write_csv(history_path, ["epoch", "loss"], enumerate(fitted.train_loss_history))
 
     summary = {
         "version": __version__,
@@ -284,19 +286,26 @@ def cmd_train(cfg: dict, echo: dict) -> int:
         "model_path": str(model_path),
         "loss_history_path": str(history_path),
     }
-    _write_json(_out_path(cfg, "train_summary", "train_summary.json"), summary)
-    print(f"trained width={fitted.width_used} final_risk={fitted.final_empirical_risk:.6g}")
+    _write_json(_out_path(cfg, "train_summary"), summary)
+    print(f"trained width={fitted.net.hidden_width} final_risk={fitted.final_empirical_risk:.6g}")
     return 0
 
 
 def cmd_test(cfg: dict, echo: dict) -> int:
     t0 = time.perf_counter()
+    test = cfg.get("test", {})
+    stat_cfg = _stat_config(test)
+    null_cfg = _build(NullConfig, "test", {
+        "seed": cfg["seed"], **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")})
     timings = {}
     with stage(timings, "data"):
         dataset = _dataset_from_config(cfg)
-    test = cfg.get("test", {})
+    variables = test.get("variables", range(dataset.d))
+    for j in variables:
+        if not (0 <= j < dataset.d):
+            raise ConfigurationError(f"test.variables: index {j} out of range for d={dataset.d}")
 
-    model_path = _out_path(cfg, "model", "model.nnsig")
+    model_path = _out_path(cfg, "model")
     with stage(timings, "fit"):
         if model_path.is_file():
             net = load_network(model_path)
@@ -312,20 +321,10 @@ def cmd_test(cfg: dict, echo: dict) -> int:
                 net=net,
                 train_loss_history=[risk],
                 final_empirical_risk=risk,
-                width_used=net.hidden_width,
                 moment=second_moment(net, dataset.X, _train_config(cfg).moment_bound),
             )
         else:
             fitted = _fit(cfg, dataset)
-
-    variables = test.get("variables", range(dataset.d))
-    for j in variables:
-        if not (0 <= j < dataset.d):
-            raise ConfigurationError(f"test.variables: index {j} out of range for d={dataset.d}")
-
-    stat_cfg = _stat_config(test)
-    null_cfg = _build(NullConfig, "test", {
-        "seed": cfg["seed"], **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")})
 
     tested = significance_tests(fitted, dataset, variables, null_cfg, stat_cfg)
     results = []
@@ -342,12 +341,9 @@ def cmd_test(cfg: dict, echo: dict) -> int:
             entry["null_samples"] = res.null_samples
         results.append(entry)
         if test.get("null_samples_csv"):
-            prefix = _out_path(cfg, "null_samples_csv_prefix", "null_samples")
+            prefix = _out_path(cfg, "null_samples_csv_prefix")
             sidecar = prefix.with_name(f"{prefix.name}_var{j}.csv")
-            with open(sidecar, "w", encoding="utf-8") as fh:
-                fh.write("sample\n")
-                for v in res.null_samples:
-                    fh.write(f"{v!r}\n")
+            write_csv(sidecar, ["sample"], zip(res.null_samples))
 
     report = {
         "version": __version__,
@@ -366,7 +362,7 @@ def cmd_test(cfg: dict, echo: dict) -> int:
         "timings": {**timings, **(tested[0].null.timings if tested else {}),
                     "wall_seconds": time.perf_counter() - t0},
     }
-    report_path = _out_path(cfg, "report", "report.json")
+    report_path = _out_path(cfg, "report")
     _write_json(report_path, report)
     for entry in results:
         print(f"variable {entry['variable_index']}: p={entry['p_value']:.4g}")
@@ -383,21 +379,17 @@ def cmd_diagnose(cfg: dict, echo: dict) -> int:
     comp = diag.get("complexity")
     if comp:
         dims = (comp.get("d", 3),) + (comp.get("width", 8),) * comp.get("depth", 2) + (1,)
-        report = complexity_scaling_experiment(
-            dims, comp.get("n_list", (250, 1000, 4000)), seed,
-            **_pick(comp, "n_eps", "n_class", "activation"),
-        )
+        report = _build(complexity_scaling_experiment, "diagnostics.complexity", {
+            "layer_dims": dims, "n_list": comp.get("n_list", (250, 1000, 4000)), "seed": seed,
+            **_pick(comp, "n_eps", "n_class", "activation")})
         out["complexity"] = {
             "n_values": report.x_values,
             "estimates": report.errors,
             "log_log_slope": report.log_log_slope,
             "slope_stderr": report.slope_stderr,
         }
-        csv_path = _out_path(cfg, "complexity_csv", "complexity.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("n,estimate\n")
-            for x, e in zip(report.x_values, report.errors):
-                fh.write(f"{x},{e!r}\n")
+        write_csv(_out_path(cfg, "complexity_csv"), ["n", "estimate"],
+                  zip(report.x_values, report.errors))
 
     approx = diag.get("approximation")
     if approx:
@@ -416,11 +408,8 @@ def cmd_diagnose(cfg: dict, echo: dict) -> int:
             "log_log_slope": report.log_log_slope,
             "slope_stderr": report.slope_stderr,
         }
-        csv_path = _out_path(cfg, "approximation_csv", "approximation.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("width,rmse\n")
-            for x, e in zip(report.x_values, report.errors):
-                fh.write(f"{x},{e!r}\n")
+        write_csv(_out_path(cfg, "approximation_csv"), ["width", "rmse"],
+                  zip(report.x_values, report.errors))
 
     payload = {
         "version": __version__,
@@ -429,7 +418,7 @@ def cmd_diagnose(cfg: dict, echo: dict) -> int:
         "diagnostics": out,
         "timings": {"wall_seconds": time.perf_counter() - t0},
     }
-    path = _out_path(cfg, "diagnostics_report", "diagnostics.json")
+    path = _out_path(cfg, "diagnostics_report")
     _write_json(path, payload)
     print(f"wrote {path}")
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class Dataset:
     X: np.ndarray  # (n, d), entries in [-1, 1]
     y: np.ndarray  # (n,)
     rescale_transform: list | None = None  # per-column (center, half_range)
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -91,14 +90,6 @@ class TargetSpec:
         Xz[:, self.dead_index] = 0.0
         return self.base.evaluate(Xz)
 
-    def sup_abs(self) -> float:
-        """Upper bound on sup |f| over the cube."""
-        if self.kind == "linear":
-            return float(np.abs(np.asarray(self.beta)).sum() + abs(self.intercept))
-        if self.kind == "smooth_sin":
-            return float(np.count_nonzero(np.asarray(self.frequency)))
-        return self.base.sup_abs()
-
 
 def generate(spec: TargetSpec, n: int, d: int, seed: int) -> Dataset:
     """Draw X uniform on [-1,1]^d and y = f(X) + truncated normal noise."""
@@ -109,60 +100,58 @@ def generate(spec: TargetSpec, n: int, d: int, seed: int) -> Dataset:
     f = spec.evaluate(X)
     sigma = spec.noise_sigma
     y = f + truncated_normal(rng, n, sigma, 4 * sigma) if sigma > 0 else f
-    m_y = spec.sup_abs() + 4.0 * sigma
-    return Dataset(
-        X,
-        y,
-        rescale_transform=None,
-        meta={
-            "source": "generator",
-            "kind": spec.kind,
-            "noise_sigma": sigma,
-            "noise_truncation": "4sigma_resample",
-            "m_y": m_y,
-            "seed": int(seed),
-        },
-    )
+    return Dataset(X, y)
 
 
 def load_csv(path, target_column: str) -> Dataset:
     """Read a headered numeric CSV, rescale covariates to [-1,1] per column.
 
     Data rows are numbered from 1 in error messages. Columns with zero range
-    cannot be rescaled and are rejected.
+    cannot be rescaled and are rejected. A file that cannot be opened or
+    decoded as UTF-8, or that the csv module cannot parse, is an
+    ``IngestionError`` too.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        if target_column not in header:
-            raise IngestionError(f"{path}: missing target column {target_column!r}")
-        t_idx = header.index(target_column)
-        rows = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
-                )
-            vals = []
-            for col, cell in zip(header, row):
-                cell = cell.strip()
-                if cell == "":
-                    raise IngestionError(f"{path}: missing value at row {rownum}, column {col!r}")
-                try:
-                    val = float(cell)
-                except ValueError:
+    header, rows = None, []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file")
+            if target_column not in header:
+                raise IngestionError(f"{path}: missing target column {target_column!r}")
+            t_idx = header.index(target_column)
+            for rownum, row in enumerate(reader, start=1):
+                if len(row) != len(header):
                     raise IngestionError(
-                        f"{path}: non-numeric cell {cell!r} at row {rownum}, column {col!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise IngestionError(
-                        f"{path}: non-finite cell {cell!r} at row {rownum}, column {col!r}"
+                        f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
                     )
-                vals.append(val)
-            rows.append(vals)
+                vals = []
+                for col, cell in zip(header, row):
+                    cell = cell.strip()
+                    if cell == "":
+                        raise IngestionError(
+                            f"{path}: missing value at row {rownum}, column {col!r}"
+                        )
+                    try:
+                        val = float(cell)
+                    except ValueError:
+                        raise IngestionError(
+                            f"{path}: non-numeric cell {cell!r} at row {rownum}, column {col!r}"
+                        ) from None
+                    if not math.isfinite(val):
+                        raise IngestionError(
+                            f"{path}: non-finite cell {cell!r} at row {rownum}, column {col!r}"
+                        )
+                    vals.append(val)
+                rows.append(vals)
+    except csv.Error as exc:
+        where = "the header" if header is None else f"row {len(rows) + 1}"
+        raise IngestionError(f"{path}: malformed CSV at {where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     data = np.array(rows, dtype=np.float64)
@@ -180,25 +169,25 @@ def load_csv(path, target_column: str) -> Dataset:
         half = (hi - lo) / 2.0
         X[:, jcol] = (X_raw[:, jcol] - center) / half
         transform.append((center, half))
-    return Dataset(
-        X,
-        y,
-        rescale_transform=transform,
-        meta={"source": str(path), "target_column": target_column, "columns": cov_names},
-    )
+    return Dataset(X, y, rescale_transform=transform)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row of Python ints and floats,
+    each as its repr, which reads back as the same number."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write the dataset with header x1..xd,y using repr round-trip floats."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([f"x{k + 1}" for k in range(dataset.d)] + ["y"]) + "\n")
-        for i in range(dataset.n):
-            cells = [repr(float(v)) for v in dataset.X[i]] + [repr(float(dataset.y[i]))]
-            fh.write(",".join(cells) + "\n")
+    """Write the dataset with header x1..xd,y."""
+    header = [f"x{k + 1}" for k in range(dataset.d)] + ["y"]
+    write_csv(path, header, np.column_stack((dataset.X, dataset.y)).tolist())
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int):
-    """Seeded disjoint row split; transforms and meta carried through."""
+    """Seeded disjoint row split; transforms carried through."""
     if not (0.0 < train_fraction < 1.0):
         raise ConfigurationError(f"train fraction {train_fraction} outside (0, 1)")
     order = generator(seed).permutation(dataset.n)
@@ -209,6 +198,5 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
         dataset.X[idx].copy(),
         dataset.y[idx].copy(),
         rescale_transform=dataset.rescale_transform,
-        meta=dict(dataset.meta),
     )
     return mk(tr), mk(te)

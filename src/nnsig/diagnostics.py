@@ -24,9 +24,6 @@ from .training import ArchSpec, TrainConfig, fit_least_squares
 @dataclass
 class RademacherEstimate:
     value: float
-    n: int
-    n_eps: int
-    n_class: int
     std_error: float
 
 
@@ -85,7 +82,7 @@ def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
     sups = np.abs(eps @ outputs.T / n).max(axis=1)  # (n_eps,)
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(n_eps)) if n_eps > 1 else 0.0
-    return RademacherEstimate(value, n, n_eps, n_class, stderr)
+    return RademacherEstimate(value, stderr)
 
 
 def approximation_rate_experiment(target_spec: TargetSpec, widths, n: int,
@@ -127,6 +124,8 @@ def complexity_scaling_experiment(layer_dims, n_list, seed: int,
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError("n_list must be strictly increasing with >= 3 entries")
+    if n_list[0] < 1:
+        raise ConfigurationError(f"n_list sample sizes must be at least 1, got {n_list[0]}")
     sampler = glorot_class_sampler(layer_dims, activation)
     d = layer_dims[0]
     estimates = []

@@ -8,7 +8,9 @@ Pipeline, run once and shared by every tested variable:
      optionally shrink it toward its diagonal, and factorize it;
   3. repeatedly draw a centered multivariate normal and pick the network at
      the argmax coordinate; the null samples of variable j are the selected
-     networks' statistics of variable j.
+     networks' statistics of variable j. The draws are evaluated in blocks,
+     and a draw whose argmax the block product cannot certify is recomputed
+     alone from its row of the block (``_select``).
 
 Random streams (the determinism contract): with master seed s, network k
 comes from stream (0, k) of s and normal draw t from stream (1, t); the
@@ -24,7 +26,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, InputError, NumericalError
 from .network import forward_batch, init_glorot, output_and_gradient
-from .seeding import generator, standard_normal_rows
+from .seeding import standard_normal_rows
 from .significance import (
     StatConfig,
     VariableStatistic,
@@ -35,7 +37,7 @@ from .significance import (
 from .timing import stage
 from .training import FittedModel
 
-# Draws per matrix product in _selection_indices; a fixed size, since the
+# Draws per matrix product in _select; a fixed size, since the
 # selected indices do not depend on it.
 _BLOCK = 256
 
@@ -72,10 +74,6 @@ class CovMatrix:
     entries: np.ndarray  # (m, m) symmetric
     chol_factor: np.ndarray | None = None
     jitter_used: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(eq=False)  # compared by identity: array fields have no single truth value
@@ -157,11 +155,11 @@ def cholesky_with_jitter(cov: CovMatrix) -> CovMatrix:
     suffices; persistent failure suggests shrinkage (lambda_shrink > 0).
     """
     s = cov.entries
-    base = float(np.trace(s)) / cov.dim
+    base = float(np.trace(s)) / len(s)
     ladder = [0.0] + [1e-10 * base * 10 ** i for i in range(5)]
     for jitter in ladder:
         try:
-            chol = np.linalg.cholesky(s + jitter * np.eye(cov.dim))
+            chol = np.linalg.cholesky(s + jitter * np.eye(len(s)))
         except np.linalg.LinAlgError:
             continue
         return CovMatrix(entries=s, chol_factor=chol, jitter_used=jitter)
@@ -172,7 +170,28 @@ def cholesky_with_jitter(cov: CovMatrix) -> CovMatrix:
 
 
 def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
-    """``_selection_indices`` and the number of draws it recomputed one by one."""
+    """The argmax coordinate (lowest index on ties) of each of n_p draws
+    chol @ g_t, and the number of draws recomputed one by one.
+
+    This is the per-draw definition ``argmax(chol @ g_t)`` with ``g_t`` from
+    stream (1, t) of ``seed``, evaluated for blocks of draws in one matrix
+    product. The product may sum each m-term dot product in another order
+    than the per-draw one. Any summation order lies within
+    ``gamma_m * sum_k |L_ik g_k|`` of the exact value, ``gamma_m =
+    m u / (1 - m u)``, ``u = 2**-53`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), and by Cauchy-Schwarz that sum is at
+    most ``R * |g_t|`` with ``R`` the largest row norm of ``chol``. So the two
+    values of a coordinate differ by at most ``2 gamma_m R |g_t|``, and the
+    argmax cannot differ when the top value exceeds the second by more than
+    ``4 gamma_m R |g_t|``. Every draw whose gap is not above twice that
+    (a margin for the rounding of the norms), exact ties included, is
+    recomputed as ``argmax(chol @ g_t)`` from its row of the block, so each
+    index is bit-identical.
+
+    The rows of a block are filled by ``seeding.standard_normal_rows``, whose
+    normals are those of ``generator(seed, 1, t)``; the tests keep
+    ``generator`` as the definition they compare every index against.
+    """
     m = chol.shape[0]
     unit = 2.0 ** -53
     gamma = m * unit / (1.0 - m * unit)
@@ -191,35 +210,9 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
         gap = top_value - v.max(axis=1)
         idx[start:start + b] = top
         for r in np.flatnonzero(~(gap > margin * np.linalg.norm(g[:b], axis=1))):
-            t = start + int(r)
-            idx[t] = np.argmax(chol @ generator(seed, 1, t).standard_normal(m))
+            idx[start + r] = np.argmax(chol @ g[r])
             rechecked += 1
     return idx, rechecked
-
-
-def _selection_indices(chol: np.ndarray, seed: int, n_p: int) -> np.ndarray:
-    """Argmax coordinate (lowest index on ties) of each of n_p draws chol @ g_t.
-
-    This is the per-draw definition ``argmax(chol @ g_t)`` with ``g_t`` from
-    stream (1, t) of ``seed``, evaluated for blocks of draws in one matrix
-    product. The product may sum each m-term dot product in another order
-    than the per-draw one. Any summation order lies within
-    ``gamma_m * sum_k |L_ik g_k|`` of the exact value, ``gamma_m =
-    m u / (1 - m u)``, ``u = 2**-53`` (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1), and by Cauchy-Schwarz that sum is at
-    most ``R * |g_t|`` with ``R`` the largest row norm of ``chol``. So the two
-    values of a coordinate differ by at most ``2 gamma_m R |g_t|``, and the
-    argmax cannot differ when the top value exceeds the second by more than
-    ``4 gamma_m R |g_t|``. Every draw whose gap is not above twice that
-    (a margin for the rounding of the norms), exact ties included, is
-    recomputed by the per-draw definition, so each index is bit-identical.
-
-    The rows of a block are filled by ``seeding.standard_normal_rows``, which
-    derives the PCG64 states of the block's streams at once and gives the
-    same normals as ``generator(seed, 1, t)``; the per-draw recheck calls
-    ``generator`` itself, which stays the definition.
-    """
-    return _select(chol, seed, n_p)[0]
 
 
 def build_null(fitted: FittedModel, X, cfg: NullConfig,

@@ -29,10 +29,12 @@ keys ``(head, t)`` differ only in their last spawn-key word, so the
 ``SeedSequence`` pool of ``(head,)`` is shared and the last word's mixing,
 ``generate_state`` and PCG64's seeding step run over all t at once, with
 O'Neill's ``seed_seq_fe`` constants as numpy uses them. The normals are
-bit-identical to ``generator(seed, head, t)``'s, which stays the definition
-(``tests/test_seeding.py`` checks the two against each other); any
-``t >= 2**32`` spans two key words and goes through ``generator``. The key
-table above is unchanged by it.
+bit-identical to ``generator(seed, head, t)``'s, which stays the definition:
+``tests/test_seeding.py`` checks the two against each other, and the null's
+tests check every selected index against it. The null itself draws only
+through ``standard_normal_rows``, and its per-draw recheck reuses the row
+drawn. Any ``t >= 2**32`` spans two key words and goes through
+``generator``. The key table above is unchanged by it.
 """
 
 from __future__ import annotations

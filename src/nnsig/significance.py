@@ -46,10 +46,8 @@ class StatConfig:
 
 @dataclass(frozen=True)
 class VariableStatistic:
-    variable_index: int
     raw: float
     normalized: float
-    n_used: int
 
 
 def normalization_factor(cfg: StatConfig, n: int) -> float:
@@ -64,8 +62,6 @@ def normalization_factor(cfg: StatConfig, n: int) -> float:
     if cfg.normalization_mode == "identity":
         return 1.0
     rc = cfg.rate_constants
-    if rc is None:
-        raise ConfigurationError("rate normalization requires rate_constants")
     return math.sqrt(rc.h_n * rc.lipschitz ** rc.depth / math.sqrt(n)) + rc.h_n ** (
         -rc.s_over_d
     )
@@ -196,5 +192,4 @@ def all_statistics(net: Network, X, cfg: StatConfig = StatConfig()) -> list:
         raise InputError("empty covariate matrix")
     grads = input_gradient_batch(net, X)
     raw, normalized, _ = mean_squares(grads * grads, normalization_factor(cfg, len(X)))
-    return [VariableStatistic(j, r, v, len(X))
-            for j, (r, v) in enumerate(zip(raw.tolist(), normalized.tolist()))]
+    return [VariableStatistic(r, v) for r, v in zip(raw.tolist(), normalized.tolist())]

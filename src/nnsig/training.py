@@ -70,7 +70,6 @@ class FittedModel:
     net: Network
     train_loss_history: list
     final_empirical_risk: float
-    width_used: int
     moment: MomentCertificate
     # why fit_least_squares stopped ("plateau" or "epoch_cap") and the index
     # of the epoch whose network it returned; None for a network not fitted
@@ -209,7 +208,6 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
         net=net,
         train_loss_history=history,
         final_empirical_risk=loss,
-        width_used=width,
         moment=second_moment(net, X, cfg.moment_bound),
         stop_reason=stop_reason,
         best_epoch=best_epoch,

@@ -4,6 +4,8 @@ Each test writes a JSON config into tmp_path and drives ``nnsig.cli.main``
 in-process, asserting on exit codes and on the files the commands produce.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -45,6 +47,21 @@ def base_config(out_dir, n=300, d=2, beta=(1.0, 0.0), noise=0.1, seed=11):
         "training": {"epochs": 40, "batch_size": 50, "learning_rate": 0.5},
         "test": {"m": 20, "n_p": 50},
     }
+
+
+# CSV cells: mostly numbers, with the edges of what float() and the rescaling take
+_CELLS = (st.floats(-10, 10).map(repr) | st.integers(-9, 9).map(str)
+          | st.sampled_from(["", " 1 ", "1e308", "-1e308", "1e-320", "nan", "1e999", "x"]))
+
+
+def csv_tables():
+    """CSV bytes: a header, then up to 8 rows of as many cells."""
+    def table(header):
+        width = header.count(",") + 1
+        rows = st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=8)
+        return rows.map(lambda rows: "\n".join([header] + [",".join(r) for r in rows]).encode())
+
+    return st.sampled_from(["x1,y", "x1,x2,y", "y,x1,x2", "y", "x1,y,y"]).flatmap(table)
 
 
 def table_paths(table, prefix=()):
@@ -287,6 +304,20 @@ class TestTestCommand:
             assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
             assert repr(bad) in capsys.readouterr().err
 
+    def test_test_section_checked_before_fit(self, tmp_path, capsys, monkeypatch):
+        def no_fit(cfg, dataset):
+            raise AssertionError("fit called before the test section was checked")
+
+        monkeypatch.setattr(cli, "_fit", no_fit)
+        cases = (("m", 1, "test: m must be at least 2"),
+                 ("variables", [5], "test.variables: index 5 out of range for d=2"),
+                 ("normalization_mode", "rate", "test: rate normalization requires rate_constants"))
+        for key, bad, message in cases:
+            cfg = base_config(tmp_path)
+            cfg["test"][key] = bad
+            assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+            assert f"configuration error: {message}" in capsys.readouterr().err
+
     def test_csv_input_path(self, tmp_path):
         gen = base_config(tmp_path)
         assert main(["generate", "--config", write_config(tmp_path, gen, "g.json")]) == 0
@@ -407,6 +438,22 @@ class TestConfigErrors:
         cfg["data"] = {"path": str(data)}
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.binary(max_size=120) | csv_tables(), epochs=st.integers(1, 2),
+           n_p=st.integers(1, 5))
+    def test_fuzzed_csv_ends_in_an_exit_code(self, data, epochs, n_p):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(data)
+            cfg = {"output": {"dir": tmp}, "data": {"path": str(path)},
+                   "training": {"epochs": epochs, "batch_size": 1},
+                   "test": {"m": 2, "n_p": n_p}}
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["test", "--config", write_config(Path(tmp), cfg)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
 
 class TestDiagnoseCommand:
     def test_empty_sections_exit_zero(self, tmp_path):
@@ -434,6 +481,16 @@ class TestDiagnoseCommand:
         rows = (tmp_path / "complexity.csv").read_text().strip().splitlines()
         assert rows[0] == "n,estimate"
         assert len(rows) == 4
+
+    def test_complexity_sample_sizes_below_one(self, tmp_path, capsys):
+        for n_list in ([-1, 2, 3], [0, 2, 3]):
+            cfg = {"output": {"dir": str(tmp_path)},
+                   "diagnostics": {"complexity": {"width": 4, "d": 2, "n_list": n_list,
+                                                  "n_eps": 20, "n_class": 4}}}
+            assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "diagnostics.complexity: n_list" in err and "Traceback" not in err
+            assert not (tmp_path / "complexity.csv").exists()
 
 
 def cfg_out(cfg):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestGenerate:
     def test_bounded_response(self):
         spec = TargetSpec(kind="smooth_sin", frequency=(1.0, 2.0), noise_sigma=0.1)
         ds = generate(spec, 300, 2, seed=5)
-        assert np.abs(ds.y).max() <= ds.meta["m_y"]
+        assert np.abs(ds.y).max() <= 2 + 4 * 0.1
 
     def test_beta_length_mismatch(self):
         spec = TargetSpec(kind="linear", beta=(1.0, 2.0))
@@ -106,6 +108,26 @@ class TestLoadCsv:
     def test_constant_column_named(self, tmp_path):
         p = self.write(tmp_path, "a,b,y\n1,5,0\n2,5,1\n")
         with pytest.raises(IngestionError, match="'b'"):
+            load_csv(p, "y")
+
+    def test_missing_file_names_path(self, tmp_path):
+        p = tmp_path / "absent.csv"
+        with pytest.raises(IngestionError, match=re.escape(f"{p}: cannot read")):
+            load_csv(p, "y")
+
+    def test_directory_names_path(self, tmp_path):
+        with pytest.raises(IngestionError, match=re.escape(f"{tmp_path}: cannot read")):
+            load_csv(tmp_path, "y")
+
+    def test_non_utf8_byte_names_path(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"a,y\n1,2\n\xff,3\n")
+        with pytest.raises(IngestionError, match=re.escape(f"{p}: not UTF-8 text")):
+            load_csv(p, "y")
+
+    def test_cell_beyond_csv_field_limit_cites_row(self, tmp_path):
+        p = self.write(tmp_path, "a,y\n1,2\n3," + "4" * 131_073 + "\n")
+        with pytest.raises(IngestionError, match=re.escape(f"{p}: malformed CSV at row 2")):
             load_csv(p, "y")
 
     def test_save_load_round_trip(self, tmp_path):

@@ -13,7 +13,6 @@ from nnsig.nulldist import (
     CovMatrix,
     NullConfig,
     _select,
-    _selection_indices,
     build_null,
     cholesky_with_jitter,
     empirical_covariance,
@@ -175,7 +174,7 @@ def seeded_draw(seed, t, m):
 class TestNullSample:
     def test_index_is_argmax_of_seeded_draw(self):
         chol = np.linalg.cholesky(np.eye(6) + 0.3)
-        idx = _selection_indices(chol, 21, 50)
+        idx = _select(chol, 21, 50)[0]
         for t, k in enumerate(idx):
             assert k == np.argmax(chol @ seeded_draw(21, t, 6))
 
@@ -186,7 +185,7 @@ class TestNullSample:
         rng = np.random.default_rng(factor_seed)
         a = rng.normal(size=(m, m)) + rng.normal(size=(1, m))  # shared part: correlated rows
         chol = np.linalg.cholesky(a @ a.T / m + 1e-6 * np.eye(m))
-        idx = _selection_indices(chol, seed, n_p)
+        idx = _select(chol, seed, n_p)[0]
         assert idx.shape == (n_p,)
         for t, k in enumerate(idx):
             assert k == np.argmax(chol @ seeded_draw(seed, t, m))
@@ -208,8 +207,8 @@ class TestNullSample:
 
     def test_prefix_does_not_depend_on_n_p(self):
         chol = np.linalg.cholesky(np.eye(7) + 0.5)
-        assert np.array_equal(_selection_indices(chol, 5, 600)[:300],
-                              _selection_indices(chol, 5, 300))
+        assert np.array_equal(_select(chol, 5, 600)[0][:300],
+                              _select(chol, 5, 300)[0])
 
     def test_argmax_invariance_shift_and_scale(self):
         rng = np.random.default_rng(8)
@@ -221,7 +220,7 @@ class TestNullSample:
 
     def test_identity_covariance_selection_uniform(self):
         m = 5
-        counts = np.bincount(_selection_indices(np.eye(m), 9, 10_000), minlength=m)
+        counts = np.bincount(_select(np.eye(m), 9, 10_000)[0], minlength=m)
         expected = 10_000 / m
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 13.2767  # chi-square 99th percentile, 4 dof
@@ -255,7 +254,7 @@ class TestNullDistribution:
         null = build_null(fitted, ds.X, cfg)
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
         cov = cholesky_with_jitter(empirical_covariance(nets, ds.X))
-        assert np.array_equal(null.idx, _selection_indices(cov.chol_factor, cfg.seed, cfg.n_p))
+        assert np.array_equal(null.idx, _select(cov.chol_factor, cfg.seed, cfg.n_p)[0])
         assert null.samples(0) == [all_statistics(nets[k], ds.X)[0].normalized
                                    for k in null.idx]
 
@@ -263,7 +262,7 @@ class TestNullDistribution:
     def test_statistics_are_fsum_means_across_blocks(self, activation, monkeypatch):
         X = np.random.default_rng(41).uniform(-1, 1, (257, 3))
         net = init_glorot((3, 6, 6, 1), activation, 42)
-        fitted = FittedModel(net, [], 0.0, 6, second_moment(net, X))
+        fitted = FittedModel(net, [], 0.0, second_moment(net, X))
         stat_cfg = StatConfig(normalization_mode="rate", rate_constants=RateConstants(
             h_n=6, lipschitz=1.0, depth=2, s_over_d=1.0))
         u = normalization_factor(stat_cfg, len(X))

@@ -139,8 +139,8 @@ class TestFitLeastSquares:
         spec = TargetSpec(kind="linear", beta=(1.0,), noise_sigma=0.1)
         ds = generate(spec, 2000, 1, seed=11)
         fitted = fit_least_squares(ds, ArchSpec(), TrainConfig(seed=11, epochs=5))
-        assert fitted.width_used == width_schedule(2000)
-        assert fitted.net.layer_dims == (1, fitted.width_used, fitted.width_used, 1)
+        assert fitted.net.hidden_width == width_schedule(2000)
+        assert fitted.net.layer_dims == (1, fitted.net.hidden_width, fitted.net.hidden_width, 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_reports_epoch(self):
