@@ -394,14 +394,14 @@ def cmd_diagnose(cfg: dict, echo: dict) -> int:
     approx = diag.get("approximation")
     if approx:
         d = approx.get("d", 2)
-        spec = TargetSpec(kind="smooth_sin",
-                          frequency=approx.get("frequency", (1.0,) + (0.0,) * (d - 1)))
+        spec = _build(TargetSpec, "diagnostics.approximation", {
+            "kind": "smooth_sin", "frequency": approx.get("frequency", (1.0,) + (0.0,) * (d - 1))})
         train_cfg = _build(TrainConfig, "diagnostics.approximation.training",
                            {**_APPROX_TRAINING, **approx.get("training", {}), "seed": seed})
-        report = approximation_rate_experiment(
-            spec, approx.get("widths", (4, 8, 16, 32)), approx.get("n", 4000), train_cfg,
-            seed, d=d, **_pick(approx, "depth", "activation"),
-        )
+        report = _build(approximation_rate_experiment, "diagnostics.approximation", {
+            "target_spec": spec, "widths": approx.get("widths", (4, 8, 16, 32)),
+            "n": approx.get("n", 4000), "train_cfg": train_cfg, "seed": seed, "d": d,
+            **_pick(approx, "depth", "activation")})
         out["approximation"] = {
             "widths": report.x_values,
             "rmse": report.errors,

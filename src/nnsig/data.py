@@ -107,7 +107,8 @@ def load_csv(path, target_column: str) -> Dataset:
     """Read a headered numeric CSV, rescale covariates to [-1,1] per column.
 
     Data rows are numbered from 1 in error messages. Columns with zero range
-    cannot be rescaled and are rejected. A file that cannot be opened or
+    cannot be rescaled and are rejected, as is a file with no column besides
+    the target. A file that cannot be opened or
     decoded as UTF-8, or that the csv module cannot parse, is an
     ``IngestionError`` too.
     """
@@ -120,6 +121,10 @@ def load_csv(path, target_column: str) -> Dataset:
                 raise IngestionError(f"{path}: empty file")
             if target_column not in header:
                 raise IngestionError(f"{path}: missing target column {target_column!r}")
+            if len(header) == 1:
+                raise IngestionError(
+                    f"{path}: no covariate column, only the target {target_column!r}"
+                )
             t_idx = header.index(target_column)
             for rownum, row in enumerate(reader, start=1):
                 if len(row) != len(header):
@@ -165,8 +170,14 @@ def load_csv(path, target_column: str) -> Dataset:
         lo, hi = X_raw[:, jcol].min(), X_raw[:, jcol].max()
         if hi == lo:
             raise IngestionError(f"{path}: constant covariate column {name!r} (zero range)")
-        center = (hi + lo) / 2.0
-        half = (hi - lo) / 2.0
+        with np.errstate(over="ignore"):
+            center = (hi + lo) / 2.0
+            half = (hi - lo) / 2.0
+        if not (np.isfinite(center) and np.isfinite(half)):
+            # hi + lo or hi - lo overflows for cells near the float range;
+            # halving first is exact there
+            center = hi / 2.0 + lo / 2.0
+            half = hi / 2.0 - lo / 2.0
         X[:, jcol] = (X_raw[:, jcol] - center) / half
         transform.append((center, half))
     return Dataset(X, y, rescale_transform=transform)

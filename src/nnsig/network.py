@@ -19,25 +19,39 @@ MAGIC = b"NNSIG1"
 
 
 def _stable_sigmoid(z):
-    """1/(1+exp(-z)) without overflow: exp(-|z|) is exp(-z) for z >= 0 and
-    exp(z) otherwise, so both branches come from one exp."""
-    ez = np.exp(-np.abs(z))
-    d = 1.0 + ez
-    return np.where(z >= 0, 1.0 / d, ez / d)
+    """1/(1+exp(-z)) without overflow, from one exp of t = -|z|.
+
+    The bool ``z >= 0`` picks the numerator without a select: for z >= 0 it
+    is 1.0 and exp(t) = exp(-z) <= 1, so max(exp(t), 1.0) is exactly 1.0 and
+    the result is 1/(1+exp(-z)); for z < 0 it is 0.0 and exp(t) = exp(z) >= 0,
+    so the max is exp(z) and the result is exp(z)/(1+exp(z)). Either way it is
+    one correctly rounded division of the operands the two-branch formula
+    divides, so the bits are the same. -0.0 counts as z >= 0 and gives 0.5,
+    and a NaN propagates through the max.
+    """
+    t = np.copysign(z, -1.0)
+    np.exp(t, out=t)
+    d = t + 1.0
+    np.maximum(t, z >= 0, out=t)
+    return np.divide(t, d, out=d)
 
 
 def _relu_pair(z):
-    return np.maximum(z, 0.0), np.where(z > 0.0, 1.0, 0.0)  # derivative at 0 fixed to 0
+    # derivative at 0 fixed to 0
+    return np.maximum(z, 0.0), np.greater(z, 0.0).astype(np.float64)
 
 
 def _tanh_pair(z):
     t = np.tanh(z)
-    return t, 1.0 - t ** 2
+    dt = np.square(t)
+    return t, np.subtract(1.0, dt, out=dt)
 
 
 def _sigmoid_pair(z):
     s = _stable_sigmoid(z)
-    return s, s * (1.0 - s)
+    ds = 1.0 - s
+    ds *= s
+    return s, ds
 
 
 # activation name -> (function, (value, derivative) pair)
@@ -163,8 +177,11 @@ def forward_batch(net: Network, X) -> np.ndarray:
     psi = _ACTIVATIONS[net.activation][0]
     a = X
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = psi(a @ w.T + b)
-    out = a @ net.weights[-1].T + net.biases[-1]
+        z = a @ w.T
+        z += b
+        a = psi(z)
+    out = a @ net.weights[-1].T
+    out += net.biases[-1]
     return out[:, 0]
 
 
@@ -188,15 +205,20 @@ def output_and_gradient(net: Network, X):
     a = X
     derivs = []
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a, dz = pair(a @ w.T + b)
+        z = a @ w.T
+        z += b
+        a, dz = pair(z)
         derivs.append(dz)
-    out = (a @ net.weights[-1].T + net.biases[-1])[:, 0]
+    out = a @ net.weights[-1].T
+    out += net.biases[-1]
+    out = out[:, 0]
     # J starts as d out / d a_L, shape (n, width_L)
     j = np.broadcast_to(net.weights[-1][0], (X.shape[0], net.weights[-1].shape[1]))
     if not derivs:  # no hidden layer: purely affine
         return out, j.copy()
+    # each step scales J by psi' in the derivative's own buffer
     for l in range(len(derivs) - 1, -1, -1):
-        j = (j * derivs[l]) @ net.weights[l]
+        j = np.multiply(j, derivs[l], out=derivs[l]) @ net.weights[l]
     return out, j
 
 

@@ -109,10 +109,14 @@ def _batch_gradients(weights, biases, pair, xb, yb):
     derivs = []
     a = xb
     for w, b in zip(weights[:-1], biases[:-1]):
-        a, dz = pair(a @ w.T + b)
+        z = a @ w.T
+        z += b
+        a, dz = pair(z)
         derivs.append(dz)
         acts.append(a)
-    out = (a @ weights[-1].T + biases[-1])[:, 0]
+    out = a @ weights[-1].T
+    out += biases[-1]
+    out = out[:, 0]
     e = (out - yb) / len(yb)
 
     grads_w = [None] * len(weights)
@@ -121,7 +125,7 @@ def _batch_gradients(weights, biases, pair, xb, yb):
     grads_b[-1] = np.array([e.sum()])
     delta = np.outer(e, weights[-1][0])
     for l in range(len(weights) - 2, -1, -1):
-        delta = delta * derivs[l]
+        delta *= derivs[l]
         grads_w[l] = delta.T @ acts[l]
         grads_b[l] = delta.sum(axis=0)
         if l > 0:

@@ -438,6 +438,15 @@ class TestConfigErrors:
         cfg["data"] = {"path": str(data)}
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
 
+    def test_target_only_csv_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "y_only.csv"
+        data.write_text("y\n" + "".join(f"{i}\n" for i in range(200)), encoding="utf-8")
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"path": str(data)}
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}: no covariate column" in err and "Traceback" not in err
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.binary(max_size=120) | csv_tables(), epochs=st.integers(1, 2),
            n_p=st.integers(1, 5))
@@ -491,6 +500,15 @@ class TestDiagnoseCommand:
             err = capsys.readouterr().err
             assert "diagnostics.complexity: n_list" in err and "Traceback" not in err
             assert not (tmp_path / "complexity.csv").exists()
+
+    def test_approximation_widths_error_names_section(self, tmp_path, capsys):
+        cfg = {"output": {"dir": str(tmp_path)},
+               "diagnostics": {"approximation": {"widths": [4, 2, 8], "n": 100}}}
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "diagnostics.approximation: widths must be strictly increasing" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "approximation.csv").exists()
 
 
 def cfg_out(cfg):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ class TestLoadCsv:
         p = self.write(tmp_path, "a,b,y\n1,5,0\n2,5,1\n")
         with pytest.raises(IngestionError, match="'b'"):
             load_csv(p, "y")
+
+    def test_target_only_file_names_path(self, tmp_path):
+        p = self.write(tmp_path, "y\n" + "".join(f"{i}\n" for i in range(200)))
+        with pytest.raises(IngestionError, match=re.escape(f"{p}: no covariate column")):
+            load_csv(p, "y")
+
+    @pytest.mark.parametrize("column", [(-1e308, 1e308, 0.0), (1e308, 1.5e308, 1.2e308)])
+    def test_extreme_cells_rescale_without_overflow(self, tmp_path, column):
+        lines = ["a,y"] + [f"{v!r},{i}" for i, v in enumerate(column)]
+        p = self.write(tmp_path, "\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(p, "y")
+        x = ds.X[:, 0]
+        assert np.all(np.isfinite(x)) and np.all(np.abs(x) <= 1.0)
+        assert x.min() == -1.0 and x.max() == 1.0
 
     def test_missing_file_names_path(self, tmp_path):
         p = tmp_path / "absent.csv"

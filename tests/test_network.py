@@ -5,6 +5,7 @@ import pytest
 
 from nnsig.exceptions import ConfigurationError, FormatError, InputError
 from nnsig.network import (
+    _ACTIVATIONS,
     Network,
     _stable_sigmoid,
     forward,
@@ -52,6 +53,102 @@ class TestActivations:
         out, grad = output_and_gradient(net, X)
         assert out.tobytes() == forward_batch(net, X).tobytes()
         assert grad.shape == (50, 3)
+
+
+# Reference formulas: the activation pairs and the evaluation loop written
+# with np.where and out-of-place temporaries. The library computes the same
+# IEEE operations on the same values and must match them bit for bit.
+def ref_sigmoid(z):
+    ez = np.exp(-np.abs(z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
+
+
+def ref_relu_pair(z):
+    return np.maximum(z, 0.0), np.where(z > 0.0, 1.0, 0.0)
+
+
+def ref_tanh_pair(z):
+    t = np.tanh(z)
+    return t, 1.0 - t ** 2
+
+
+def ref_sigmoid_pair(z):
+    s = ref_sigmoid(z)
+    return s, s * (1.0 - s)
+
+
+REF_PAIRS = {"relu": ref_relu_pair, "tanh": ref_tanh_pair, "sigmoid": ref_sigmoid_pair}
+
+
+def ref_output_and_gradient(net, X):
+    pair = REF_PAIRS[net.activation]
+    a = X
+    derivs = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a, dz = pair(a @ w.T + b)
+        derivs.append(dz)
+    out = (a @ net.weights[-1].T + net.biases[-1])[:, 0]
+    j = np.broadcast_to(net.weights[-1][0], (X.shape[0], net.weights[-1].shape[1]))
+    for l in range(len(derivs) - 1, -1, -1):
+        j = (j * derivs[l]) @ net.weights[l]
+    return out, j
+
+
+# the edges of exp (overflow near 709.78, underflow to 0 near -745.13),
+# signed zeros and infinities, NaN and the smallest subnormal
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 709.8, -709.8, 745.2, -745.2,
+                    5e-324, -5e-324])
+
+
+def special_array(shape, seed, scale=30.0):
+    """Normal values with every special value planted many times; large enough
+    for numpy's SIMD loops."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0.0, scale, shape)
+    z.flat[rng.choice(z.size, 20 * SPECIAL.size, replace=False)] = np.repeat(SPECIAL, 20)
+    return z
+
+
+def layouts(seed):
+    """A C-contiguous (5000, 9) array and non-contiguous views of the same shape."""
+    z = special_array((5000, 18), seed)
+    return {"contiguous": np.ascontiguousarray(z[:, :9]), "strided": z[:, ::2],
+            "transposed": np.asfortranarray(z[:, 9:])}
+
+
+class TestBitIdenticalToReference:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+    def test_activation_pair(self, activation, layout):
+        z = layouts(7)[layout]
+        before = z.tobytes()
+        psi, pair = _ACTIVATIONS[activation]
+        value, deriv = pair(z)
+        ref_value, ref_deriv = REF_PAIRS[activation](z)
+        assert value.tobytes() == ref_value.tobytes()
+        assert deriv.tobytes() == ref_deriv.tobytes()
+        assert psi(z).tobytes() == ref_value.tobytes()
+        assert z.tobytes() == before  # the input is not overwritten
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_output_and_gradient(self, activation, depth):
+        rng = np.random.default_rng(depth)
+        glorot = init_glorot((9,) + (12,) * depth + (1,), activation, depth)
+        net = Network(glorot.layer_dims, glorot.weights,
+                      tuple(rng.normal(0.0, 1.0, b.shape) for b in glorot.biases), activation)
+        z = special_array((5000, 18), depth, scale=1.0)
+        z[:500] *= 400.0  # hidden pre-activations far into both tails
+        for X in (np.ascontiguousarray(z[:, :9]), z[:, ::2]):
+            before = X.tobytes()
+            with np.errstate(invalid="ignore"):  # inf * 0 in the products
+                out, grad = output_and_gradient(net, X)
+                ref_out, ref_grad = ref_output_and_gradient(net, X)
+                assert forward_batch(net, X).tobytes() == ref_out.tobytes()
+            assert out.tobytes() == ref_out.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert X.tobytes() == before
 
 
 class TestInitGlorot:
