@@ -29,6 +29,7 @@ from .network import (
     linear_network,
     load,
     output_and_gradient,
+    sample_networks,
     save,
     second_moment,
 )
@@ -39,7 +40,6 @@ from .nulldist import (
     cholesky_with_jitter,
     empirical_covariance,
     p_value_from_null,
-    sample_networks,
     shrink,
     significance_test,
     significance_tests,

@@ -3,7 +3,7 @@
 All commands take ``--config <path>`` pointing at a single JSON file that
 fully determines the run; ``--seed`` and ``--out`` override the master seed
 and output directory. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numerical error.
+error, 4 numerical error or out of memory.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ _OUTPUTS = {"dataset": "dataset.csv", "model": "model.nnsig",
 
 # Every config key and its kind: a converter, a nested table for a JSON
 # object, or None for a retired key that is accepted and ignored.
-_GENERATOR = {"kind": _string, "beta": _reals, "intercept": _real, "frequency": _reals,
-              "dead_index": _integer, "noise_sigma": _real, "n": _integer, "d": _integer}
-_GENERATOR["base"] = _GENERATOR
+_TARGET = {"kind": _string, "beta": _reals, "intercept": _real, "frequency": _reals,
+           "dead_index": _integer}
+_TARGET["base"] = _TARGET  # a base target has no rows, dimension or noise of its own
+_GENERATOR = {**_TARGET, "noise_sigma": _real, "n": _integer, "d": _integer}
 _TRAINING = {"epochs": _integer, "batch_size": _integer, "learning_rate": _real,
              "lr_decay": _real, "tolerance": _real}
 _KEYS = {
@@ -180,7 +181,12 @@ def _out_path(cfg: dict, key: str) -> Path:
     """The path of output ``key`` under ``output.dir``; its directory is created."""
     out = cfg["output"]
     path = Path(out.get("dir", ".")) / out.get(key, _OUTPUTS[key])
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output.{key}: {path.parent}: {exc.strerror}") from None
+    if path.is_dir():
+        raise ConfigurationError(f"output.{key}: {path} is a directory")
     return path
 
 
@@ -206,7 +212,7 @@ def _stat_config(test: dict) -> StatConfig:
     rc = test.get("rate_constants") if test.get("normalization_mode") == "rate" else None
     if rc is not None:
         _require(rc, "test.rate_constants", "h_n", "lipschitz", "depth", "s_over_d")
-        rc = RateConstants(**rc)
+        rc = _build(RateConstants, "test.rate_constants", rc)
     return _build(StatConfig, "test", {**_pick(test, "normalization_mode"), "rate_constants": rc})
 
 
@@ -297,6 +303,7 @@ def cmd_test(cfg: dict, echo: dict) -> int:
     stat_cfg = _stat_config(test)
     null_cfg = _build(NullConfig, "test", {
         "seed": cfg["seed"], **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")})
+    report_path = _out_path(cfg, "report")
     timings = {}
     with stage(timings, "data"):
         dataset = _dataset_from_config(cfg)
@@ -362,7 +369,6 @@ def cmd_test(cfg: dict, echo: dict) -> int:
         "timings": {**timings, **(tested[0].null.timings if tested else {}),
                     "wall_seconds": time.perf_counter() - t0},
     }
-    report_path = _out_path(cfg, "report")
     _write_json(report_path, report)
     for entry in results:
         print(f"variable {entry['variable_index']}: p={entry['p_value']:.4g}")
@@ -431,6 +437,10 @@ _COMMANDS = {
     "diagnose": cmd_diagnose,
 }
 
+# Each error a command may end in: the message prefix and the exit code.
+_EXITS = {ConfigurationError: ("configuration error", 2), InputError: ("data error", 3),
+          NumericalError: ("numerical error", 4), MemoryError: ("out of memory", 4)}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -446,15 +456,10 @@ def main(argv=None) -> int:
     try:
         cfg, echo = _load_config(args.config, args.seed, args.out)
         return _COMMANDS[args.command](cfg, echo)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as exc:
+        kind, code = next(v for error, v in _EXITS.items() if isinstance(exc, error))
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import Dataset, TargetSpec, generate, split
 from .exceptions import ConfigurationError, DivergenceError
-from .network import Network, forward_batch, init_glorot
-from .seeding import generator
+from .network import Network, forward_batch, sample_networks
+from .seeding import generator, generators
 from .training import ArchSpec, TrainConfig, fit_least_squares
 
 
@@ -49,16 +49,6 @@ def loglog_slope(x_values, errors):
     dof = lx.size - 2
     stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx) if dof > 0 else 0.0
     return slope, stderr
-
-
-def glorot_class_sampler(layer_dims, activation: str):
-    """Return a sampler(count, seed) producing truncated-Glorot networks,
-    network k from stream (0, k) of the master seed."""
-
-    def sampler(count: int, seed: int) -> list:
-        return [init_glorot(layer_dims, activation, seed, 0, k) for k in range(count)]
-
-    return sampler
 
 
 def _evaluate(fn, X: np.ndarray) -> np.ndarray:
@@ -126,13 +116,11 @@ def complexity_scaling_experiment(layer_dims, n_list, seed: int,
         raise ConfigurationError("n_list must be strictly increasing with >= 3 entries")
     if n_list[0] < 1:
         raise ConfigurationError(f"n_list sample sizes must be at least 1, got {n_list[0]}")
-    sampler = glorot_class_sampler(layer_dims, activation)
-    d = layer_dims[0]
+    nets = sample_networks(n_class, layer_dims, activation, seed)
     estimates = []
-    for i, n in enumerate(n_list):
-        X = generator(seed, 2, i).uniform(-1.0, 1.0, (n, d))
-        # same seed for every n keeps the sampled class fixed across the grid
-        estimates.append(estimate_rademacher(sampler, X, n_eps, n_class, seed))
+    for n, rng in zip(n_list, generators(seed, 2, 0, len(n_list))):
+        X = rng.uniform(-1.0, 1.0, (n, layer_dims[0]))
+        estimates.append(estimate_rademacher(lambda count, seed: nets, X, n_eps, n_class, seed))
     errs = [e.value for e in estimates]
     slope, stderr = loglog_slope(n_list, errs)
     return RateReport(x_values=n_list, errors=errs, log_log_slope=slope, slope_stderr=stderr)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: configuration errors -> 2,
-data/input errors -> 3, numerical errors -> 4.
+The CLI maps these onto exit codes (``cli._EXITS``): configuration errors
+-> 2, data/input errors -> 3, numerical errors and running out of memory -> 4.
 """
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, FormatError, InputError
-from .seeding import generator, truncated_normal
+from .seeding import generator, generators, truncated_normal
 
 MAGIC = b"NNSIG1"
 
@@ -62,6 +62,16 @@ _ACTIVATIONS = {
 }
 
 
+def _architecture(layer_dims, activation: str) -> tuple:
+    """``layer_dims`` as a tuple of ints, checked together with ``activation``."""
+    dims = tuple(int(v) for v in layer_dims)
+    if len(dims) < 2 or any(v <= 0 for v in dims) or dims[-1] != 1:
+        raise ConfigurationError(f"invalid layer dims {dims!r}")
+    if activation not in _ACTIVATIONS:
+        raise ConfigurationError(f"unknown activation {activation!r}")
+    return dims
+
+
 @dataclass(frozen=True)
 class Network:
     """Layered MLP. ``weights[l]`` has shape (width_l, width_{l-1});
@@ -73,11 +83,7 @@ class Network:
     activation: str
 
     def __post_init__(self):
-        dims = self.layer_dims
-        if len(dims) < 2 or any(w <= 0 for w in dims) or dims[-1] != 1:
-            raise ConfigurationError(f"invalid layer dims {dims!r}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+        dims = _architecture(self.layer_dims, self.activation)
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ConfigurationError("weights/biases do not match layer dims")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -115,26 +121,24 @@ def glorot_sigma(input_dim: int) -> float:
     return float(np.sqrt(2.0 / (input_dim + 1)))
 
 
-def init_glorot(layer_dims, activation: str, seed, *key) -> Network:
-    """Build a network with weights from N(0, sigma_g), sigma_g = sqrt(2/(d+1)),
-    truncated to |w| <= 2*sigma_g by resampling; biases zero.
-
-    The weights come from stream ``key`` of master seed ``seed`` (see
-    ``seeding``); given the same seed and key the result is bit-identical.
-    """
-    dims = tuple(int(v) for v in layer_dims)
-    if len(dims) < 2 or any(v <= 0 for v in dims) or dims[-1] != 1:
-        raise ConfigurationError(f"invalid layer dims {dims!r}")
-    if activation not in _ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {activation!r}")
-    rng = generator(seed, *key)
+def _glorot(dims: tuple, activation: str, rng: np.random.Generator) -> Network:
+    """Weights from N(0, sigma_g), sigma_g = sqrt(2/(d+1)), truncated to
+    |w| <= 2*sigma_g by resampling, drawn from ``rng`` layer by layer; biases zero."""
     sigma = glorot_sigma(dims[0])
-    weights = []
-    biases = []
-    for l in range(len(dims) - 1):
-        weights.append(truncated_normal(rng, (dims[l + 1], dims[l]), sigma, 2.0 * sigma))
-        biases.append(np.zeros(dims[l + 1]))
-    return Network(dims, tuple(weights), tuple(biases), activation)
+    weights = tuple(truncated_normal(rng, (n_out, n_in), sigma, 2.0 * sigma)
+                    for n_in, n_out in zip(dims, dims[1:]))
+    return Network(dims, weights, tuple(np.zeros(v) for v in dims[1:]), activation)
+
+
+def init_glorot(layer_dims, activation: str, seed, *key) -> Network:
+    """A truncated-Glorot network (``_glorot``) from stream ``key`` of ``seed``."""
+    return _glorot(_architecture(layer_dims, activation), activation, generator(seed, *key))
+
+
+def sample_networks(m: int, layer_dims, activation: str, seed) -> list:
+    """``init_glorot(layer_dims, activation, seed, 0, k)`` for k < m, bit for bit."""
+    dims = _architecture(layer_dims, activation)
+    return [_glorot(dims, activation, rng) for rng in generators(seed, 0, 0, m)]
 
 
 def linear_network(beta, intercept: float = 0.0) -> Network:

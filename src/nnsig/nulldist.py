@@ -12,10 +12,8 @@ Pipeline, run once and shared by every tested variable:
      and a draw whose argmax the block product cannot certify is recomputed
      alone from its row of the block (``_select``).
 
-Random streams (the determinism contract): with master seed s, network k
-comes from stream (0, k) of s and normal draw t from stream (1, t); the
-table of every stream is in ``seeding``. Draws are therefore independent of
-replication order, and the first k networks do not depend on m.
+Random streams (the determinism contract, tabled in ``seeding``): network k
+comes from stream (0, k) of the seed and normal draw t from stream (1, t).
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, InputError, NumericalError
-from .network import forward_batch, init_glorot, output_and_gradient
-from .seeding import standard_normal_rows
+from .network import forward_batch, output_and_gradient, sample_networks
+from .seeding import generators
 from .significance import (
     StatConfig,
     VariableStatistic,
@@ -117,13 +115,6 @@ class TestResult:
     null: SharedNull  # the same object for every variable of a run
 
 
-def sample_networks(m: int, layer_dims, activation: str, seed: int) -> list:
-    """m truncated-Glorot networks with the given architecture."""
-    if m < 2:
-        raise ConfigurationError("need at least 2 networks for a covariance estimate")
-    return [init_glorot(layer_dims, activation, seed, 0, k) for k in range(m)]
-
-
 def _gram(outputs: np.ndarray) -> CovMatrix:
     """S = outputs @ outputs.T / n for network outputs of shape (m, n)."""
     s = outputs @ outputs.T / outputs.shape[1]
@@ -188,9 +179,8 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
     recomputed as ``argmax(chol @ g_t)`` from its row of the block, so each
     index is bit-identical.
 
-    The rows of a block are filled by ``seeding.standard_normal_rows``, whose
-    normals are those of ``generator(seed, 1, t)``; the tests keep
-    ``generator`` as the definition they compare every index against.
+    The rows of a block are drawn from ``seeding.generators``; the tests
+    compare every index against draws of ``generator(seed, 1, t)``.
     """
     m = chol.shape[0]
     unit = 2.0 ** -53
@@ -199,9 +189,11 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
     idx = np.empty(n_p, dtype=np.intp)
     g = np.empty((min(_BLOCK, n_p), m))
     rechecked = 0
+    draws = generators(seed, 1, 0, n_p)
     for start in range(0, n_p, _BLOCK):
         b = min(_BLOCK, n_p - start)
-        standard_normal_rows(seed, 1, start, g[:b])
+        for row, rng in zip(g[:b], draws):
+            rng.standard_normal(out=row)
         v = g[:b] @ chol.T
         rows = np.arange(b)
         top = np.argmax(v, axis=1)

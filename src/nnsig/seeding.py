@@ -12,8 +12,8 @@ Spawn keys in use (this table is the determinism contract):
     ()       data.generate (covariates, then noise) and data.split
     (0,)     training.fit_least_squares: the initial network
     (1,)     training.fit_least_squares: the batch order
-    (0, k)   sampled network k, in the null (nulldist.sample_networks) and
-             in a Rademacher class (diagnostics.glorot_class_sampler)
+    (0, k)   sampled network k (network.sample_networks), in the null and in
+             a Rademacher class
     (1, t)   null draw t (nulldist._select)
     (1,)     diagnostics.estimate_rademacher: the Rademacher signs
     (2, i)   diagnostics.complexity_scaling_experiment: the covariates of
@@ -22,19 +22,14 @@ Spawn keys in use (this table is the determinism contract):
 Key ``(i,)`` gives the state of ``SeedSequence(s).spawn(i + 1)[i]`` and key
 ``(i, k)`` that of ``SeedSequence(s).spawn(i + 1)[i].spawn(k + 1)[k]``.
 
-The null draws are many short streams, and building a ``SeedSequence`` and
-a ``PCG64`` for each costs more than its normals. ``standard_normal_rows``
-fills a block of them from states derived in numpy for the whole block:
-keys ``(head, t)`` differ only in their last spawn-key word, so the
-``SeedSequence`` pool of ``(head,)`` is shared and the last word's mixing,
-``generate_state`` and PCG64's seeding step run over all t at once, with
-O'Neill's ``seed_seq_fe`` constants as numpy uses them. The normals are
-bit-identical to ``generator(seed, head, t)``'s, which stays the definition:
-``tests/test_seeding.py`` checks the two against each other, and the null's
-tests check every selected index against it. The null itself draws only
-through ``standard_normal_rows``, and its per-draw recheck reuses the row
-drawn. Any ``t >= 2**32`` spans two key words and goes through
-``generator``. The key table above is unchanged by it.
+A single stream comes from ``generator``, a family ``(head, t)`` of them
+(networks, draws, sample sizes) from ``generators``, since a ``SeedSequence``
+and a ``PCG64`` per stream cost more than many streams draw. Keys ``(head,
+t)`` share the pool of ``(head,)``, so the last word's mixing,
+``generate_state`` and PCG64's seeding step run over many t at once in
+numpy, with O'Neill's ``seed_seq_fe`` constants as numpy uses them.
+``generator`` stays the definition: ``tests/test_seeding.py`` and the null's
+tests check the draws of ``generators`` against it.
 """
 
 from __future__ import annotations
@@ -69,6 +64,8 @@ _WORD = 2 ** 32
 # PCG64's 128-bit LCG multiplier (pcg_setseq_128, numpy's PCG64)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = 2 ** 128 - 1
+# Streams whose states generators derives at once.
+_CHUNK = 256
 
 
 def _hash(value: np.ndarray, h: int, mult: int) -> np.ndarray:
@@ -111,28 +108,27 @@ def _pcg64_states(seed, head: int, last: np.ndarray):
         yield ((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc)
 
 
-def standard_normal_rows(seed, head: int, start: int, out: np.ndarray) -> None:
-    """Fill row r of ``out`` with the standard normals of stream ``(head,
-    start + r)``: the numbers ``generator(seed, head, start +
-    r).standard_normal(out.shape[1])``.
+def generators(seed, head: int, start: int, count: int):
+    """Yield a generator on each stream ``(head, t)``, t from ``start`` up to
+    ``start + count``, drawing exactly what ``generator(seed, head, t)`` draws.
 
-    The PCG64 states of keys whose words fit in 32 bits each come from
-    ``_pcg64_states``, and one reused generator is set to each in turn; any
-    other key, ``t >= 2**32`` say, takes more spawn-key words and goes
-    through ``generator``.
+    One generator is yielded each time, set to the next stream, so draw from
+    it before taking the next. Its states come from ``_pcg64_states``,
+    ``_CHUNK`` streams at a time so that the states held stay bounded; a key
+    ``t >= 2**32`` takes two key words and goes through ``generator``.
     """
-    rows = len(out)
-    fast = max(0, min(rows, _WORD - start)) if head < _WORD else 0
+    fast = range(start, max(start, min(start + count, _WORD)) if head < _WORD else start)
     if fast:
-        rng = generator(seed, head, start)  # its state is replaced row by row
-        last = np.arange(start, start + fast, dtype=np.uint32)
-        for r, (state, inc) in enumerate(_pcg64_states(seed, head, last)):
+        rng = generator(seed, head, start)  # its state is replaced stream by stream
+    for lo in fast[::_CHUNK]:
+        last = np.arange(lo, min(lo + _CHUNK, fast.stop), dtype=np.uint32)
+        for state, inc in _pcg64_states(seed, head, last):
             rng.bit_generator.state = {"bit_generator": "PCG64",
                                        "state": {"state": state, "inc": inc},
                                        "has_uint32": 0, "uinteger": 0}
-            rng.standard_normal(out=out[r])
-    for r in range(fast, rows):
-        generator(seed, head, start + r).standard_normal(out=out[r])
+            yield rng
+    for t in range(fast.stop, start + count):
+        yield generator(seed, head, t)
 
 
 def truncated_normal(rng: np.random.Generator, shape, sigma: float, bound: float) -> np.ndarray:

@@ -29,6 +29,20 @@ class RateConstants:
     depth: int
     s_over_d: float
 
+    def __post_init__(self):  # the ranges where normalization_factor is finite and positive
+        if self.h_n < 1 or self.depth < 1:
+            raise ConfigurationError(f"h_n {self.h_n} and depth {self.depth} must be at least 1")
+        if not (0.0 < self.lipschitz < math.inf and 0.0 < self.s_over_d < math.inf):
+            raise ConfigurationError(f"lipschitz {self.lipschitz} and s_over_d "
+                                     f"{self.s_over_d} must be finite and positive")
+        try:
+            scale = self.h_n * self.lipschitz ** self.depth
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ConfigurationError(
+                f"h_n * lipschitz ** depth must be finite and positive, got {scale}")
+
 
 @dataclass(frozen=True)
 class StatConfig:

@@ -127,8 +127,10 @@ class TestGenerateCommand:
     def test_dead_index_out_of_range(self, tmp_path, capsys):
         for bad in (-1, 3):  # d = 3
             cfg = base_config(tmp_path, d=3, beta=(1.0, 0.0, 0.5))
+            base = {k: v for k, v in cfg["data"]["generator"].items()
+                    if k not in ("n", "d", "noise_sigma")}
             cfg["data"]["generator"] = {"kind": "null_variable", "dead_index": bad, "n": 50,
-                                        "d": 3, "base": cfg["data"]["generator"]}
+                                        "d": 3, "base": base}
             assert main(["generate", "--config", write_config(tmp_path, cfg)]) == 2
             err = capsys.readouterr().err
             assert f"dead_index {bad}" in err and "d=3" in err
@@ -318,6 +320,28 @@ class TestTestCommand:
             assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
             assert f"configuration error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constants", [{"h_n": 0}, {"lipschitz": -1}, {"h_n": -4},
+                                           {"lipschitz": 1e300, "depth": 3}])
+    def test_out_of_range_rate_constants_exit_before_fit(self, tmp_path, capsys, monkeypatch,
+                                                        constants):
+        def no_fit(cfg, dataset):
+            raise AssertionError("fit called before the rate constants were checked")
+
+        monkeypatch.setattr(cli, "_fit", no_fit)
+        cfg = base_config(tmp_path, n=100)
+        cfg["test"].update(normalization_mode="rate", rate_constants={
+            "h_n": 5, "lipschitz": 1.0, "depth": 2, "s_over_d": 1.0, **constants})
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: test.rate_constants: " in err and "Traceback" not in err
+
+    def test_null_too_large_for_memory_is_exit_4(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["test"]["n_p"] = 10 ** 15
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and "Traceback" not in err
+
     def test_csv_input_path(self, tmp_path):
         gen = base_config(tmp_path)
         assert main(["generate", "--config", write_config(tmp_path, gen, "g.json")]) == 0
@@ -361,6 +385,36 @@ class TestConfigErrors:
         cfg = base_config(tmp_path)
         cfg["data"] = {}
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("n", -5), ("d", 99), ("noise_sigma", 7.0)])
+    def test_base_target_has_no_rows_dimension_or_noise(self, tmp_path, capsys, key, value):
+        cfg = base_config(tmp_path)
+        cfg["data"]["generator"] = {"kind": "null_variable", "dead_index": 1, "n": 50, "d": 2,
+                                    "base": {"kind": "linear", "beta": [1.0, 0.0], key: value}}
+        assert main(["generate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"data.generator.base.{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("case", ["dir_under_a_file", "dir_is_a_file", "report_is_a_dir"])
+    def test_unusable_output_path_exits_before_fit(self, tmp_path, capsys, monkeypatch, case):
+        def no_fit(cfg, dataset):
+            raise AssertionError("fit called before the report path was resolved")
+
+        monkeypatch.setattr(cli, "_fit", no_fit)
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        (tmp_path / "adir").mkdir()
+        cfg = base_config(tmp_path)
+        bad = {"dir_under_a_file": tmp_path / "afile" / "sub",
+               "dir_is_a_file": tmp_path / "afile",
+               "report_is_a_dir": tmp_path / "adir"}[case]
+        if case == "report_is_a_dir":
+            cfg["output"]["report"] = "adir"
+        else:
+            cfg["output"]["dir"] = str(bad)
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.report: ") and str(bad) in err
+        assert "Traceback" not in err
 
     def test_bad_value_type_names_key(self, tmp_path, capsys):
         cases = (("training", "epochs", "x"), ("test", "m", "ten"), ("test", "variables", 5),

@@ -9,11 +9,10 @@ from nnsig.diagnostics import (
     RademacherEstimate,
     complexity_scaling_experiment,
     estimate_rademacher,
-    glorot_class_sampler,
     loglog_slope,
 )
 from nnsig.exceptions import ConfigurationError
-from nnsig.network import Network, init_glorot
+from nnsig.network import Network, init_glorot, sample_networks
 from nnsig.training import TrainConfig
 
 
@@ -50,7 +49,7 @@ class TestEstimateRademacher:
         assert abs(est.value - math.sqrt(2 / (math.pi * n))) <= 3 * est.std_error
 
     def test_quadruple_n_halves_estimate(self):
-        sampler = glorot_class_sampler((3, 6, 6, 1), "sigmoid")
+        sampler = lambda count, seed: sample_networks(count, (3, 6, 6, 1), "sigmoid", seed)
         rng = np.random.default_rng(4)
         n = 400
         est_n = estimate_rademacher(sampler, rng.uniform(-1, 1, (n, 3)), 300, 30, seed=5)
@@ -108,6 +107,16 @@ class TestComplexityScaling:
         a = complexity_scaling_experiment((2, 4, 1), [100, 200, 400], seed=13, n_eps=50, n_class=10)
         b = complexity_scaling_experiment((2, 4, 1), [100, 200, 400], seed=13, n_eps=50, n_class=10)
         assert a.errors == b.errors
+
+    def test_pinned_estimates(self):
+        # the values of the class resampled for every n, which the one
+        # sampled class reproduces bit for bit
+        report = complexity_scaling_experiment((3, 6, 6, 1), [50, 100, 200], seed=5,
+                                               n_eps=50, n_class=7)
+        assert repr(report.errors) == (
+            "[0.1554067754204889, 0.10353371803217763, 0.07853816306596433]")
+        assert repr(report.log_log_slope) == "-0.49229182173528085"
+        assert repr(report.slope_stderr) == "0.05407283200696315"
 
     def test_monotone_n_list_required(self):
         with pytest.raises(ConfigurationError):

@@ -64,9 +64,21 @@ class TestSampleNetworks:
         nets = sample_networks(5, (4, 7, 7, 1), "relu", 1)
         assert all(f.layer_dims == (4, 7, 7, 1) for f in nets)
 
-    def test_m_below_two_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sample_networks(1, (3, 5, 1), "tanh", 0)
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_network_k_is_init_glorot_of_stream_0_k(self, activation, m):
+        # wide enough that truncation redraws weights in every layer: about 8
+        # of the first layer's 180 and 170 of the second's 3600
+        dims = (3, 60, 60, 1)
+        nets = sample_networks(m, dims, activation, 2 ** 70 + 5)
+        assert len(nets) == m
+        for k, net in enumerate(nets):
+            want = init_glorot(dims, activation, 2 ** 70 + 5, 0, k)
+            assert net.activation == activation and net.layer_dims == dims
+            for a, b in zip(net.weights + net.biases, want.weights + want.biases):
+                assert a.tobytes() == b.tobytes()
+            plain = generator(2 ** 70 + 5, 0, k).normal(0.0, glorot_sigma(3), (60, 3))
+            assert not np.array_equal(net.weights[0], plain)
 
     def test_growth_appends_without_changing_prefix(self):
         base = sample_networks(4, (3, 5, 1), "tanh", 9)

@@ -6,7 +6,7 @@ import pytest
 
 import nnsig
 from nnsig.network import init_glorot
-from nnsig.seeding import _pcg64_states, generator, standard_normal_rows, stream
+from nnsig.seeding import _CHUNK, _pcg64_states, generator, generators, stream
 
 SRC = Path(nnsig.__file__).parent
 RANDOM_CONSTRUCTORS = {"SeedSequence", "PCG64", "Generator", "default_rng", "RandomState"}
@@ -82,12 +82,33 @@ def test_vectorized_draw_states_equal_the_library(seed):
 
 @pytest.mark.parametrize("seed", SEEDS + (-987654321,))
 @pytest.mark.parametrize("start, rows", [
-    (200, 600),  # within one key word, across 256-draw block boundaries
+    (200, 600),  # within one key word, across chunk boundaries
     (LAST_FAST_KEY - 2, 6),  # the last fast keys, then 2**32 onwards
     (2 ** 32 + 3, 2),  # only keys of two words
 ])
 def test_normal_rows_equal_the_library(seed, start, rows):
     out = np.full((rows, 37), np.nan)
-    standard_normal_rows(seed, 1, start, out)
+    for row, rng in zip(out, generators(seed, 1, start, rows)):
+        rng.standard_normal(out=row)
     for r in range(rows):
         assert np.array_equal(out[r], _library_draw(seed, start + r).standard_normal(37)), r
+
+
+def _draws(rng):
+    return np.concatenate([rng.standard_normal(5), rng.normal(0.5, 2.0, (2, 3)).ravel(),
+                           rng.uniform(-1.0, 1.0, 4)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("head", [0, 1, 2])
+@pytest.mark.parametrize("start, count", [
+    (LAST_FAST_KEY - 2, 6),  # t from 2**32 - 3 to 2**32 + 2
+    (3, 2 * _CHUNK + 5),  # longer than one chunk
+])
+def test_generators_draw_what_generator_draws(seed, head, start, count):
+    yielded = 0
+    for t, rng in enumerate(generators(seed, head, start, count), start):
+        want = _draws(generator(seed, head, t))
+        assert _draws(rng).tobytes() == want.tobytes(), t
+        yielded += 1
+    assert yielded == count
