@@ -177,10 +177,11 @@ def _pick(section: dict, *names) -> dict:
     return {name: section[name] for name in names if name in section}
 
 
-def _out_path(cfg: dict, key: str) -> Path:
-    """The path of output ``key`` under ``output.dir``; its directory is created."""
+def _out_path(cfg: dict, key: str, suffix: str = "") -> Path:
+    """The path of output ``key``, with ``suffix`` appended to its name, under
+    ``output.dir``; its directory is created."""
     out = cfg["output"]
-    path = Path(out.get("dir", ".")) / out.get(key, _OUTPUTS[key])
+    path = Path(out.get("dir", ".")) / (out.get(key, _OUTPUTS[key]) + suffix)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -197,23 +198,65 @@ def _target_spec(gen: dict, key: str) -> TargetSpec:
     return _build(TargetSpec, key, {**fields, "base": base})
 
 
-def _dataset_from_config(cfg: dict) -> Dataset:
+def _complexity(seed, d=3, width=8, depth=2, n_list=(250, 1000, 4000), **fields):
+    return complexity_scaling_experiment((d,) + (width,) * depth + (1,), n_list, seed, **fields)
+
+
+def _approximation(seed, train_cfg, d=2, frequency=None, widths=(4, 8, 16, 32), n=4000,
+                   **fields):
+    if frequency is None:
+        frequency = (1.0,) + (0.0,) * (d - 1)
+    spec = TargetSpec("smooth_sin", frequency=frequency)
+    return approximation_rate_experiment(spec, widths, n, train_cfg, seed, d=d, **fields)
+
+
+# Each study of nnsig diagnose, in run order: its experiment, which takes the
+# keys of its config section, the report names of its x values and errors,
+# and its CSV header. The layer dims and the default frequency grow with
+# depth and d, so they are built when the study runs, never by a command
+# that does not run it.
+_STUDIES = {"complexity": (_complexity, "n_values", "estimates", ("n", "estimate")),
+            "approximation": (_approximation, "widths", "rmse", ("width", "rmse"))}
+
+
+def _settings(cfg: dict) -> dict:
+    """Every object the commands take from the checked config, built when the
+    config loads, so that an out-of-range value in any section exits 2 naming
+    the section whichever command runs. The checks that need the data (the
+    variables, ``beta`` and ``batch_size`` against its shape) stay where the
+    data is read."""
+    seed, test, diag = cfg["seed"], cfg.get("test", {}), cfg.get("diagnostics", {})
+    gen = cfg.get("data", {}).get("generator")
+    if gen is not None:
+        _require(gen, "data.generator", "n", "d")
+    rc = test.get("rate_constants") if test.get("normalization_mode") == "rate" else None
+    if rc is not None:
+        _require(rc, "test.rate_constants", "h_n", "lipschitz", "depth", "s_over_d")
+        rc = _build(RateConstants, "test.rate_constants", rc)
+    studies = {name: {**diag[name], "seed": seed} for name in _STUDIES if name in diag}
+    if "approximation" in studies:
+        approx = studies["approximation"]
+        approx["train_cfg"] = _build(TrainConfig, "diagnostics.approximation.training",
+                                     {**_APPROX_TRAINING, **approx.pop("training", {}), "seed": seed})
+    return {
+        "target": None if gen is None else _target_spec(gen, "data.generator"),
+        "arch": _build(ArchSpec, "architecture", cfg.get("architecture", {})),
+        "train": _build(TrainConfig, "training", {"seed": seed, **cfg.get("training", {})}),
+        "stat": _build(StatConfig, "test", {**_pick(test, "normalization_mode"),
+                                            "rate_constants": rc}),
+        "null": _build(NullConfig, "test", {
+            "seed": seed, **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")}),
+        "studies": studies,
+    }
+
+
+def _dataset_from_config(cfg: dict, target: TargetSpec | None) -> Dataset:
     data = cfg.get("data", {})
     if ("path" in data) == ("generator" in data):
         raise ConfigurationError("data: exactly one of path and generator must be set")
     if "path" in data:
         return load_csv(data["path"], data.get("target_column", "y"))
-    gen = data["generator"]
-    _require(gen, "data.generator", "n", "d")
-    return generate(_target_spec(gen, "data.generator"), gen["n"], gen["d"], cfg["seed"])
-
-
-def _stat_config(test: dict) -> StatConfig:
-    rc = test.get("rate_constants") if test.get("normalization_mode") == "rate" else None
-    if rc is not None:
-        _require(rc, "test.rate_constants", "h_n", "lipschitz", "depth", "s_over_d")
-        rc = _build(RateConstants, "test.rate_constants", rc)
-    return _build(StatConfig, "test", {**_pick(test, "normalization_mode"), "rate_constants": rc})
+    return generate(target, data["generator"]["n"], data["generator"]["d"], cfg["seed"])
 
 
 def _fitted_summary(fitted) -> dict:
@@ -254,34 +297,30 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# Each command takes the checked config and the config echo of _load_config.
+# Each command takes the checked config and the config echo of _load_config,
+# and the objects _settings built from the config. It resolves every path it
+# writes before it reads data, fits or runs a study.
 
-def cmd_generate(cfg: dict, echo: dict) -> int:
-    if "generator" not in cfg.get("data", {}):
+def cmd_generate(cfg: dict, echo: dict, built: dict) -> int:
+    if built["target"] is None:
         raise ConfigurationError("generate needs a data.generator section")
-    dataset = _dataset_from_config(cfg)
     path = _out_path(cfg, "dataset")
+    dataset = _dataset_from_config(cfg, built["target"])
     save_csv(dataset, path)
     print(f"wrote {dataset.n} rows, {dataset.d} covariates to {path}")
     return 0
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return _build(TrainConfig, "training", {"seed": cfg["seed"], **cfg.get("training", {})})
+def _fit(built: dict, dataset: Dataset):
+    return fit_least_squares(dataset, built["arch"], built["train"])
 
 
-def _fit(cfg: dict, dataset: Dataset):
-    arch = _build(ArchSpec, "architecture", cfg.get("architecture", {}))
-    return fit_least_squares(dataset, arch, _train_config(cfg))
-
-
-def cmd_train(cfg: dict, echo: dict) -> int:
-    dataset = _dataset_from_config(cfg)
-    fitted = _fit(cfg, dataset)
-    model_path = _out_path(cfg, "model")
+def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
+    model_path, history_path, summary_path = (
+        _out_path(cfg, key) for key in ("model", "loss_history", "train_summary"))
+    dataset = _dataset_from_config(cfg, built["target"])
+    fitted = _fit(built, dataset)
     save_network(fitted.net, model_path)
-
-    history_path = _out_path(cfg, "loss_history")
     write_csv(history_path, ["epoch", "loss"], enumerate(fitted.train_loss_history))
 
     summary = {
@@ -292,27 +331,25 @@ def cmd_train(cfg: dict, echo: dict) -> int:
         "model_path": str(model_path),
         "loss_history_path": str(history_path),
     }
-    _write_json(_out_path(cfg, "train_summary"), summary)
+    _write_json(summary_path, summary)
     print(f"trained width={fitted.net.hidden_width} final_risk={fitted.final_empirical_risk:.6g}")
     return 0
 
 
-def cmd_test(cfg: dict, echo: dict) -> int:
+def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
     test = cfg.get("test", {})
-    stat_cfg = _stat_config(test)
-    null_cfg = _build(NullConfig, "test", {
-        "seed": cfg["seed"], **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")})
-    report_path = _out_path(cfg, "report")
+    report_path, model_path = _out_path(cfg, "report"), _out_path(cfg, "model")
     timings = {}
     with stage(timings, "data"):
-        dataset = _dataset_from_config(cfg)
+        dataset = _dataset_from_config(cfg, built["target"])
     variables = test.get("variables", range(dataset.d))
     for j in variables:
         if not (0 <= j < dataset.d):
             raise ConfigurationError(f"test.variables: index {j} out of range for d={dataset.d}")
+    sidecars = {j: _out_path(cfg, "null_samples_csv_prefix", f"_var{j}.csv")
+                for j in variables} if test.get("null_samples_csv") else {}
 
-    model_path = _out_path(cfg, "model")
     with stage(timings, "fit"):
         if model_path.is_file():
             net = load_network(model_path)
@@ -328,15 +365,14 @@ def cmd_test(cfg: dict, echo: dict) -> int:
                 net=net,
                 train_loss_history=[risk],
                 final_empirical_risk=risk,
-                moment=second_moment(net, dataset.X, _train_config(cfg).moment_bound),
+                moment=second_moment(net, dataset.X, built["train"].moment_bound),
             )
         else:
-            fitted = _fit(cfg, dataset)
+            fitted = _fit(built, dataset)
 
-    tested = significance_tests(fitted, dataset, variables, null_cfg, stat_cfg)
+    tested = significance_tests(fitted, dataset, variables, built["null"], built["stat"])
     results = []
     for res in tested:
-        j = res.variable_index
         entry = {
             "variable_index": res.variable_index,
             "observed_raw": res.observed.raw,
@@ -347,10 +383,8 @@ def cmd_test(cfg: dict, echo: dict) -> int:
         if test.get("include_null_samples", True):
             entry["null_samples"] = res.null_samples
         results.append(entry)
-        if test.get("null_samples_csv"):
-            prefix = _out_path(cfg, "null_samples_csv_prefix")
-            sidecar = prefix.with_name(f"{prefix.name}_var{j}.csv")
-            write_csv(sidecar, ["sample"], zip(res.null_samples))
+        if sidecars:
+            write_csv(sidecars[res.variable_index], ["sample"], zip(res.null_samples))
 
     report = {
         "version": __version__,
@@ -360,8 +394,8 @@ def cmd_test(cfg: dict, echo: dict) -> int:
         "fitted": _fitted_summary(fitted),
         "training": _training_summary(fitted),
         "flags": {
-            "normalization_mode": stat_cfg.normalization_mode,
-            "sigma_scale": null_cfg.sigma_scale,
+            "normalization_mode": built["stat"].normalization_mode,
+            "sigma_scale": built["null"].sigma_scale,
             "glorot_truncation": "plus_minus_2_sigma_resample",
         },
         "results": results,
@@ -376,46 +410,22 @@ def cmd_test(cfg: dict, echo: dict) -> int:
     return 0
 
 
-def cmd_diagnose(cfg: dict, echo: dict) -> int:
+def cmd_diagnose(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
-    diag = cfg.get("diagnostics", {})
+    studies = built["studies"]
+    csv_paths = {name: _out_path(cfg, name + "_csv") for name in studies}
+    path = _out_path(cfg, "diagnostics_report")
     out = {}
-    seed = cfg["seed"]
-
-    comp = diag.get("complexity")
-    if comp:
-        dims = (comp.get("d", 3),) + (comp.get("width", 8),) * comp.get("depth", 2) + (1,)
-        report = _build(complexity_scaling_experiment, "diagnostics.complexity", {
-            "layer_dims": dims, "n_list": comp.get("n_list", (250, 1000, 4000)), "seed": seed,
-            **_pick(comp, "n_eps", "n_class", "activation")})
-        out["complexity"] = {
-            "n_values": report.x_values,
-            "estimates": report.errors,
+    for name, fields in studies.items():
+        experiment, x_name, errors_name, header = _STUDIES[name]
+        report = _build(experiment, "diagnostics." + name, fields)
+        out[name] = {
+            x_name: report.x_values,
+            errors_name: report.errors,
             "log_log_slope": report.log_log_slope,
             "slope_stderr": report.slope_stderr,
         }
-        write_csv(_out_path(cfg, "complexity_csv"), ["n", "estimate"],
-                  zip(report.x_values, report.errors))
-
-    approx = diag.get("approximation")
-    if approx:
-        d = approx.get("d", 2)
-        spec = _build(TargetSpec, "diagnostics.approximation", {
-            "kind": "smooth_sin", "frequency": approx.get("frequency", (1.0,) + (0.0,) * (d - 1))})
-        train_cfg = _build(TrainConfig, "diagnostics.approximation.training",
-                           {**_APPROX_TRAINING, **approx.get("training", {}), "seed": seed})
-        report = _build(approximation_rate_experiment, "diagnostics.approximation", {
-            "target_spec": spec, "widths": approx.get("widths", (4, 8, 16, 32)),
-            "n": approx.get("n", 4000), "train_cfg": train_cfg, "seed": seed, "d": d,
-            **_pick(approx, "depth", "activation")})
-        out["approximation"] = {
-            "widths": report.x_values,
-            "rmse": report.errors,
-            "log_log_slope": report.log_log_slope,
-            "slope_stderr": report.slope_stderr,
-        }
-        write_csv(_out_path(cfg, "approximation_csv"), ["width", "rmse"],
-                  zip(report.x_values, report.errors))
+        write_csv(csv_paths[name], header, zip(report.x_values, report.errors))
 
     payload = {
         "version": __version__,
@@ -424,7 +434,6 @@ def cmd_diagnose(cfg: dict, echo: dict) -> int:
         "diagnostics": out,
         "timings": {"wall_seconds": time.perf_counter() - t0},
     }
-    path = _out_path(cfg, "diagnostics_report")
     _write_json(path, payload)
     print(f"wrote {path}")
     return 0
@@ -455,7 +464,7 @@ def main(argv=None) -> int:
 
     try:
         cfg, echo = _load_config(args.config, args.seed, args.out)
-        return _COMMANDS[args.command](cfg, echo)
+        return _COMMANDS[args.command](cfg, echo, _settings(cfg))
     except tuple(_EXITS) as exc:
         kind, code = next(v for error, v in _EXITS.items() if isinstance(exc, error))
         print(f"{kind}: {exc}", file=sys.stderr)

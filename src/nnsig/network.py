@@ -303,6 +303,9 @@ def load(path) -> Network:
         rows, cols = dims[l + 1], dims[l]
         w = np.frombuffer(take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
         b = np.frombuffer(take(8 * rows), dtype="<f8")
+        for name, values in (("weight", w), ("bias", b)):
+            if not np.isfinite(values).all():
+                raise FormatError(f"non-finite {name} in layer {l}")
         weights.append(w.copy())
         biases.append(b.copy())
     if pos != len(buf):

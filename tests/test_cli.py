@@ -7,6 +7,7 @@ in-process, asserting on exit codes and on the files the commands produce.
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -20,8 +21,7 @@ from nnsig.cli import main
 from nnsig.data import TargetSpec, generate, load_csv
 from nnsig.exceptions import ConfigurationError
 from nnsig.network import linear_network, load as load_network, save as save_network
-from nnsig.nulldist import NullConfig
-from nnsig.training import ArchSpec, TrainConfig, quadratic_loss, width_schedule
+from nnsig.training import quadratic_loss, width_schedule
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -74,23 +74,6 @@ def table_paths(table, prefix=()):
 
 def table_names(table):
     return {path[-1] for path in table_paths(table)}
-
-
-def build_all(cfg):
-    """Every spec and config object the commands build from a checked config,
-    built the way the commands build them, without running anything."""
-    gen = cfg.get("data", {}).get("generator")
-    if gen is not None:
-        cli._target_spec(gen, "data.generator")
-    cli._build(ArchSpec, "architecture", cfg.get("architecture", {}))
-    cli._build(TrainConfig, "training", {"seed": cfg["seed"], **cfg.get("training", {})})
-    test = cfg.get("test", {})
-    cli._stat_config(test)
-    cli._build(NullConfig, "test", {
-        "seed": cfg["seed"], **cli._pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")})
-    approx = cfg.get("diagnostics", {}).get("approximation", {})
-    cli._build(TrainConfig, "diagnostics.approximation.training",
-               {**cli._APPROX_TRAINING, **approx.get("training", {}), "seed": cfg["seed"]})
 
 
 class TestGenerateCommand:
@@ -359,6 +342,19 @@ class TestTestCommand:
         assert "Traceback" not in err
         assert str(tmp_path / "model.nnsig") in err
 
+    def test_non_finite_model_is_a_data_error(self, tmp_path, capsys):
+        # a NaN output weight once gave p = 1/(n_p+1) for every variable
+        net = linear_network([1.0, 0.5])
+        net.weights[1][0, 1] = np.nan
+        save_network(net, tmp_path / "model.nnsig")
+        cfg = base_config(tmp_path, n=200)
+        cfg["test"] = {"m": 10, "n_p": 20}
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: non-finite weight in layer 1")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_model_dimension_mismatch(self, tmp_path):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
@@ -395,26 +391,38 @@ class TestConfigErrors:
         assert f"data.generator.base.{key}: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "dataset.csv").exists()
 
-    @pytest.mark.parametrize("case", ["dir_under_a_file", "dir_is_a_file", "report_is_a_dir"])
+    # case: the command, the output key it cannot write and the config entry
+    # that makes the path unusable (output.dir, or the key's name "adir")
+    @pytest.mark.parametrize("case", ["dir_under_a_file", "dir_is_a_file", "report_is_a_dir",
+                                      "model_is_a_dir", "dataset_is_a_dir", "sidecar_is_a_dir"])
     def test_unusable_output_path_exits_before_fit(self, tmp_path, capsys, monkeypatch, case):
-        def no_fit(cfg, dataset):
-            raise AssertionError("fit called before the report path was resolved")
+        def no_work(*args):
+            raise AssertionError("work started before the output paths were resolved")
 
-        monkeypatch.setattr(cli, "_fit", no_fit)
+        monkeypatch.setattr(cli, "_fit", no_work)
+        if case != "sidecar_is_a_dir":  # the sidecars need d, so the data first
+            monkeypatch.setattr(cli, "generate", no_work)
         (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
         (tmp_path / "adir").mkdir()
+        (tmp_path / "null_samples_var1.csv").mkdir()
         cfg = base_config(tmp_path)
+        cfg["test"]["null_samples_csv"] = True
+        command, key = {"model_is_a_dir": ("train", "model"),
+                        "dataset_is_a_dir": ("generate", "dataset"),
+                        "sidecar_is_a_dir": ("test", "null_samples_csv_prefix")}.get(
+                            case, ("test", "report"))
         bad = {"dir_under_a_file": tmp_path / "afile" / "sub",
                "dir_is_a_file": tmp_path / "afile",
-               "report_is_a_dir": tmp_path / "adir"}[case]
-        if case == "report_is_a_dir":
-            cfg["output"]["report"] = "adir"
-        else:
+               "sidecar_is_a_dir": tmp_path / "null_samples_var1.csv"}.get(case, tmp_path / "adir")
+        if case.endswith("_a_file"):
             cfg["output"]["dir"] = str(bad)
-        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
+        elif case != "sidecar_is_a_dir":
+            cfg["output"][key] = "adir"
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: output.report: ") and str(bad) in err
+        assert err.startswith(f"configuration error: output.{key}: ") and str(bad) in err
         assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_bad_value_type_names_key(self, tmp_path, capsys):
         cases = (("training", "epochs", "x"), ("test", "m", "ten"), ("test", "variables", 5),
@@ -433,10 +441,13 @@ class TestConfigErrors:
             assert f"{section}.{key}" in err and "Traceback" not in err
 
     def test_out_of_range_value_names_section(self, tmp_path, capsys):
+        # every command builds every section, also those it does not read
         cfg = base_config(tmp_path)
         cfg["test"]["m"] = 1
-        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "configuration error: test: m must be at least 2" in capsys.readouterr().err
+        for command in ("generate", "train", "test", "diagnose"):
+            assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+            assert "configuration error: test: m must be at least 2" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_retired_keys_accepted_and_ignored(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -452,7 +463,7 @@ class TestConfigErrors:
         section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
         example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
         cfg, echo = cli._load_config(write_config(tmp_path, example))
-        build_all(cfg)
+        cli._settings(cfg)
         assert echo == example
         # the section documents every key the table accepts, alone or dotted
         assert all(f"`{name}`" in section or f".{name}`" in section
@@ -479,7 +490,7 @@ class TestConfigErrors:
         section[path[-1]] = value
         with tempfile.TemporaryDirectory() as tmp:
             try:
-                build_all(cli._load_config(write_config(Path(tmp), cfg))[0])
+                cli._settings(cli._load_config(write_config(Path(tmp), cfg))[0])
             except ConfigurationError as exc:
                 head, dotted = str(exc).partition(": ")[0], ".".join(path)
                 assert head == dotted or head.startswith(dotted + ".") \
@@ -517,6 +528,43 @@ class TestConfigErrors:
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
+    # One key of a config whose every section is small gets a bounded value,
+    # never an object: a section replaced by {} would run the approximation
+    # study's defaults (n = 4000, 5000 epochs).
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(sorted(table_paths(cli._KEYS))),
+           value=st.integers(-3, 12) | st.sampled_from([-0.5, 0.0, 0.5, 2.5, 1e-12])
+           | st.sampled_from([None, True, "", "a", "auto", "rate", "relu", "smooth_sin",
+                              "null_variable"])
+           | st.lists(st.integers(-3, 12), max_size=4))
+    def test_fuzzed_config_through_every_command(self, path, value):
+        cfg = base_config(".", n=40)
+        cfg["data"]["generator"]["base"] = {"kind": "linear", "beta": [1.0, 0.0]}
+        cfg["training"] = {"epochs": 3, "batch_size": 10}
+        cfg["test"] = {"m": 4, "n_p": 10, "null_samples_csv": True}
+        cfg["diagnostics"] = {
+            "complexity": {"width": 3, "d": 2, "n_list": [10, 20, 40], "n_eps": 5, "n_class": 3},
+            "approximation": {"widths": [2, 3, 4], "n": 40,
+                              "training": {"epochs": 3, "batch_size": 10}}}
+        section = cfg
+        for name in path[:-1]:
+            section = section.setdefault(name, {})
+        section[path[-1]] = value
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # a fuzzed output.dir or data.path is relative to it
+            try:
+                config = write_config(Path(tmp), cfg)
+                for command in ("generate", "train", "test", "diagnose"):
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(err):
+                        code = main([command, "--config", config])
+                    assert code in (0, 2, 3, 4), (command, err.getvalue())
+                    assert "Traceback" not in err.getvalue()
+            finally:
+                os.chdir(cwd)
+
 
 class TestDiagnoseCommand:
     def test_empty_sections_exit_zero(self, tmp_path):
@@ -544,6 +592,14 @@ class TestDiagnoseCommand:
         rows = (tmp_path / "complexity.csv").read_text().strip().splitlines()
         assert rows[0] == "n,estimate"
         assert len(rows) == 4
+
+    def test_empty_complexity_section_runs_with_defaults(self, tmp_path):
+        cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {"complexity": {}}}
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 0
+        payload = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert payload["diagnostics"]["complexity"]["n_values"] == [250, 1000, 4000]
+        rows = (tmp_path / "complexity.csv").read_text().strip().splitlines()
+        assert rows[0] == "n,estimate" and len(rows) == 4
 
     def test_complexity_sample_sizes_below_one(self, tmp_path, capsys):
         for n_list in ([-1, 2, 3], [0, 2, 3]):

@@ -356,3 +356,13 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             load(path)
+
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, part, value):
+        net = init_glorot((2, 3, 1), "relu", 2)
+        (net.weights if part == "weight" else net.biases)[1][0] = value
+        path = tmp_path / "model.nnsig"
+        save(net, path)
+        with pytest.raises(FormatError, match=f"non-finite {part} in layer 1"):
+            load(path)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnsig.exceptions import ConfigurationError, InputError
@@ -214,9 +214,16 @@ class TestExactColumnSums:
 
     @settings(max_examples=100, deadline=None)
     @given(q=summand_columns(), u=st.floats(0.1, 10.0))
+    @example(q=np.full((8, 1), 1.7e308), u=1.0)  # finite squares, their sum is not
     def test_mean_squares_match_fsum(self, q, u):
         grads = np.sqrt(np.abs(q)) / 2.0  # squares stay finite where q is
         n = len(grads)
+        try:
+            [math.fsum(col) for col in (grads * grads).T.tolist()]
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                mean_squares(grads * grads, u)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             raw_sums, normalized_sums, _ = mean_squares(grads * grads, u)
