@@ -165,10 +165,10 @@ def _require(section: dict, key: str, *names) -> None:
 
 
 def _build(make, key: str, fields: dict):
-    """``make(**fields)``; its errors name ``key``, the section the fields came from."""
+    """``make(**fields)``; its errors, a too-large value's OverflowError too, name ``key``."""
     try:
         return make(**fields)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OverflowError) as exc:
         raise ConfigurationError(f"{key}: {exc}") from None
 
 
@@ -198,8 +198,9 @@ def _target_spec(gen: dict, key: str) -> TargetSpec:
     return _build(TargetSpec, key, {**fields, "base": base})
 
 
-def _complexity(seed, d=3, width=8, depth=2, n_list=(250, 1000, 4000), **fields):
-    return complexity_scaling_experiment((d,) + (width,) * depth + (1,), n_list, seed, **fields)
+def _complexity(seed, arch, d=3, n_list=(250, 1000, 4000), **fields):
+    return complexity_scaling_experiment(arch.layer_dims(d), n_list, seed,
+                                         activation=arch.activation, **fields)
 
 
 def _approximation(seed, train_cfg, d=2, frequency=None, widths=(4, 8, 16, 32), n=4000,
@@ -210,11 +211,10 @@ def _approximation(seed, train_cfg, d=2, frequency=None, widths=(4, 8, 16, 32), 
     return approximation_rate_experiment(spec, widths, n, train_cfg, seed, d=d, **fields)
 
 
-# Each study of nnsig diagnose, in run order: its experiment, which takes the
-# keys of its config section, the report names of its x values and errors,
-# and its CSV header. The layer dims and the default frequency grow with
-# depth and d, so they are built when the study runs, never by a command
-# that does not run it.
+# Each study of nnsig diagnose, in run order: its experiment, which takes its
+# config section as _settings builds it, the report names of its x values and
+# errors, and its CSV header. The default frequency grows with d, so it is built
+# when the study runs, never by a command that does not run it.
 _STUDIES = {"complexity": (_complexity, "n_values", "estimates", ("n", "estimate")),
             "approximation": (_approximation, "widths", "rmse", ("width", "rmse"))}
 
@@ -234,6 +234,10 @@ def _settings(cfg: dict) -> dict:
         _require(rc, "test.rate_constants", "h_n", "lipschitz", "depth", "s_over_d")
         rc = _build(RateConstants, "test.rate_constants", rc)
     studies = {name: {**diag[name], "seed": seed} for name in _STUDIES if name in diag}
+    if "complexity" in studies:
+        study = studies["complexity"]
+        study["arch"] = _build(ArchSpec, "diagnostics.complexity", {"width": 8, **{
+            name: study.pop(name) for name in ("depth", "width", "activation") if name in study}})
     if "approximation" in studies:
         approx = studies["approximation"]
         approx["train_cfg"] = _build(TrainConfig, "diagnostics.approximation.training",
@@ -357,6 +361,12 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
                 raise InputError(
                     f"model expects dimension {net.input_dim}, data has {dataset.d}"
                 )
+            dims = _build(built["arch"].layer_dims, "architecture",
+                          {"d": dataset.d, "n": dataset.n})
+            if (net.activation, net.layer_dims) != (built["arch"].activation, dims):
+                raise ConfigurationError(f"architecture: {model_path} holds a {net.activation} "
+                                         f"{net.layer_dims} network, the config asks for "
+                                         f"{built['arch'].activation} {dims}")
             try:
                 risk = quadratic_loss(net, dataset.X, dataset.y)
             except NumericalError as exc:
@@ -415,10 +425,11 @@ def cmd_diagnose(cfg: dict, echo: dict, built: dict) -> int:
     studies = built["studies"]
     csv_paths = {name: _out_path(cfg, name + "_csv") for name in studies}
     path = _out_path(cfg, "diagnostics_report")
+    reports = {name: _build(_STUDIES[name][0], "diagnostics." + name, fields)
+               for name, fields in studies.items()}
     out = {}
-    for name, fields in studies.items():
-        experiment, x_name, errors_name, header = _STUDIES[name]
-        report = _build(experiment, "diagnostics." + name, fields)
+    for name, report in reports.items():
+        _, x_name, errors_name, header = _STUDIES[name]
         out[name] = {
             x_name: report.x_values,
             errors_name: report.errors,

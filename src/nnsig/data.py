@@ -91,12 +91,20 @@ class TargetSpec:
         return self.base.evaluate(Xz)
 
 
+def uniform_cube(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n points uniform on [-1,1]^d; a shape no array can hold is out of memory."""
+    try:
+        return rng.uniform(-1.0, 1.0, (n, d))
+    except ValueError:  # numpy's "array is too big": n * d * 8 bytes overflow
+        raise MemoryError(f"n = {n} rows of d = {d} covariates fit in no array") from None
+
+
 def generate(spec: TargetSpec, n: int, d: int, seed: int) -> Dataset:
     """Draw X uniform on [-1,1]^d and y = f(X) + truncated normal noise."""
     if n < 1 or d < 1:
         raise ConfigurationError("n and d must be positive")
     rng = generator(seed)
-    X = rng.uniform(-1.0, 1.0, (n, d))
+    X = uniform_cube(rng, n, d)
     f = spec.evaluate(X)
     sigma = spec.noise_sigma
     y = f + truncated_normal(rng, n, sigma, 4 * sigma) if sigma > 0 else f

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, TargetSpec, generate, split
+from .data import Dataset, TargetSpec, generate, split, uniform_cube
 from .exceptions import ConfigurationError, DivergenceError
 from .network import Network, forward_batch, sample_networks
 from .seeding import generator, generators
@@ -119,7 +119,7 @@ def complexity_scaling_experiment(layer_dims, n_list, seed: int,
     nets = sample_networks(n_class, layer_dims, activation, seed)
     estimates = []
     for n, rng in zip(n_list, generators(seed, 2, 0, len(n_list))):
-        X = rng.uniform(-1.0, 1.0, (n, layer_dims[0]))
+        X = uniform_cube(rng, n, layer_dims[0])
         estimates.append(estimate_rademacher(lambda count, seed: nets, X, n_eps, n_class, seed))
     errs = [e.value for e in estimates]
     slope, stderr = loglog_slope(n_list, errs)

@@ -7,6 +7,7 @@ is affine. Instances are treated as immutable after construction.
 
 from __future__ import annotations
 
+import reprlib
 import struct
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ from .exceptions import ConfigurationError, FormatError, InputError
 from .seeding import generator, generators, truncated_normal
 
 MAGIC = b"NNSIG1"
+# The most layer dims a model file holds; ``save`` stores each dim as a uint32.
+MAX_LAYER_DIMS = 1024
 
 
 def _stable_sigmoid(z):
@@ -63,10 +66,13 @@ _ACTIVATIONS = {
 
 
 def _architecture(layer_dims, activation: str) -> tuple:
-    """``layer_dims`` as a tuple of ints, checked together with ``activation``."""
+    """``layer_dims`` as a tuple of ints, checked together with ``activation``
+    and against the bounds of the model file."""
+    if not 2 <= len(layer_dims) <= MAX_LAYER_DIMS:
+        raise ConfigurationError(f"{len(layer_dims)} layer dims, expected 2 to {MAX_LAYER_DIMS}")
     dims = tuple(int(v) for v in layer_dims)
-    if len(dims) < 2 or any(v <= 0 for v in dims) or dims[-1] != 1:
-        raise ConfigurationError(f"invalid layer dims {dims!r}")
+    if not all(0 < v < 2 ** 32 for v in dims) or dims[-1] != 1:
+        raise ConfigurationError(f"bad layer dims {reprlib.repr(dims)}: each 1 to 2**32-1, last 1")
     if activation not in _ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {activation!r}")
     return dims
@@ -291,12 +297,11 @@ def load(path) -> Network:
 
     (tag_len,) = struct.unpack("<B", take(1))
     tag = take(tag_len).decode("ascii", errors="replace")
-    if tag not in _ACTIVATIONS:
-        raise FormatError(f"unknown activation tag {tag!r}")
     (n_dims,) = struct.unpack("<I", take(4))
-    if n_dims < 2 or n_dims > 1024:
-        raise FormatError(f"implausible layer count {n_dims}")
-    dims = struct.unpack(f"<{n_dims}I", take(4 * n_dims))
+    try:
+        dims = _architecture(struct.unpack(f"<{n_dims}I", take(4 * n_dims)), tag)
+    except ConfigurationError as exc:
+        raise FormatError(f"model file {path}: {exc}") from None
     weights = []
     biases = []
     for l in range(n_dims - 1):

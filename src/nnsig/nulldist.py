@@ -220,12 +220,13 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     timings = {}
+    # allocated first, so that an m no array can hold is out of memory at once
+    outputs = np.empty((cfg.m, n))
+    stats = np.empty((cfg.m, d))
     with stage(timings, "sample"):
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
     with stage(timings, "evaluate"):
         u = normalization_factor(stat_cfg, n)
-        outputs = np.empty((cfg.m, n))
-        stats = np.empty((cfg.m, d))
         per_block = max(1, _SUM_BLOCK // (n * d))
         squares = np.empty((n, min(per_block, cfg.m) * d))
         fallbacks = 0

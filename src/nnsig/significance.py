@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, InputError
+from .exceptions import ConfigurationError, InputError, NumericalError
 from .network import Network, input_gradient_batch
 
 
@@ -193,7 +193,10 @@ def mean_squares(squares: np.ndarray, u: float) -> tuple:
     squared gradients: raw is the column mean, its sum exactly rounded by
     ``exact_column_sums`` (whose ``certified`` is passed on), and normalized
     is raw / u**2."""
-    sums, certified = exact_column_sums(squares)
+    try:
+        sums, certified = exact_column_sums(squares)
+    except OverflowError:  # finite squares whose sum exceeds the float range
+        raise NumericalError("the squared-gradient statistic overflows the float range") from None
     raw = sums / len(squares)
     with np.errstate(over="ignore"):  # inf, as float division gives it
         return raw, raw / (u * u), certified

@@ -14,9 +14,11 @@ import numpy as np
 
 from .exceptions import ConfigurationError, DivergenceError, InputError, NumericalError
 from .network import (
+    MAX_LAYER_DIMS,
     Network,
     MomentCertificate,
     _ACTIVATIONS,
+    _architecture,
     forward_batch,
     init_glorot,
     second_moment,
@@ -58,11 +60,15 @@ class ArchSpec:
     activation: str = "sigmoid"
     width_c: float = 1.0
 
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigurationError("depth must be at least 1")
-        if self.width is not None and self.width < 1:
-            raise ConfigurationError("width must be positive")
+    def __post_init__(self):  # depth first: layer_dims builds a tuple of depth + 2 dims
+        if not 1 <= self.depth <= MAX_LAYER_DIMS - 2:
+            raise ConfigurationError(f"depth must be 1 to {MAX_LAYER_DIMS - 2}, got {self.depth}")
+        self.layer_dims(1, 2)  # the automatic width is smallest at n = 2
+
+    def layer_dims(self, d: int, n: int | None = None) -> tuple:
+        """Checked layer dims for d covariates; the automatic width needs n rows."""
+        width = width_schedule(n, self.width_c) if self.width is None else self.width
+        return _architecture((d,) + (width,) * self.depth + (1,), self.activation)
 
 
 @dataclass
@@ -150,11 +156,7 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
     if cfg.batch_size > n:
         raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds sample size {n}")
 
-    width = arch_spec.width
-    if width is None:
-        width = width_schedule(n, arch_spec.width_c)
-    dims = (d,) + (width,) * arch_spec.depth + (1,)
-
+    dims = arch_spec.layer_dims(d, n)
     net0 = init_glorot(dims, arch_spec.activation, cfg.seed, 0)
     weights = [w.copy() for w in net0.weights]
     biases = [b.copy() for b in net0.biases]

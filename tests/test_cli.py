@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from nnsig import cli
 from nnsig.cli import main
 from nnsig.data import TargetSpec, generate, load_csv
 from nnsig.exceptions import ConfigurationError
-from nnsig.network import linear_network, load as load_network, save as save_network
+from nnsig.network import MAGIC, Network, linear_network, load as load_network, save as save_network
 from nnsig.training import quadratic_loss, width_schedule
 
 
@@ -106,6 +107,18 @@ class TestGenerateCommand:
         cfg = base_config(tmp_path)
         cfg["data"] = {"path": "whatever.csv"}
         assert main(["generate", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_rows_no_array_holds_are_out_of_memory(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["data"]["generator"]["n"] = 2 ** 62
+        assert main(["generate", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"out of memory: n = {2 ** 62} rows of d = 2 covariates")
+        cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {"complexity": {
+            "width": 2, "n_list": [10, 20, 2 ** 62], "n_eps": 2, "n_class": 2}}}
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_dead_index_out_of_range(self, tmp_path, capsys):
         for bad in (-1, 3):  # d = 3
@@ -319,11 +332,13 @@ class TestTestCommand:
         assert "configuration error: test.rate_constants: " in err and "Traceback" not in err
 
     def test_null_too_large_for_memory_is_exit_4(self, tmp_path, capsys):
-        cfg = base_config(tmp_path)
-        cfg["test"]["n_p"] = 10 ** 15
-        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("out of memory: ") and "Traceback" not in err
+        # 10**12 networks: their outputs are allocated before any is sampled
+        for key, size in (("n_p", 10 ** 15), ("m", 10 ** 12)):
+            cfg = base_config(tmp_path)
+            cfg["test"][key] = size
+            assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("out of memory: ") and "Traceback" not in err
 
     def test_csv_input_path(self, tmp_path):
         gen = base_config(tmp_path)
@@ -336,6 +351,7 @@ class TestTestCommand:
     def test_overflowing_reused_model_is_a_numerical_error(self, tmp_path, capsys):
         # squared residuals near 1e308 each: their sum overflows in math.fsum
         cfg = base_config(tmp_path, n=50)
+        cfg["architecture"] = {"depth": 1, "width": 4, "activation": "relu"}
         save_network(linear_network([1.3e154, 0.0], 0.0), tmp_path / "model.nnsig")
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
@@ -353,6 +369,44 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: non-finite weight in layer 1")
         assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_reused_model_of_another_architecture(self, tmp_path, capsys):
+        assert main(["train", "--config", write_config(tmp_path, base_config(tmp_path))]) == 0
+        capsys.readouterr()
+        cfg = base_config(tmp_path, beta=(0.0, 3.0))
+        cfg["architecture"] = {"depth": 3, "width": 12, "activation": "relu"}
+        assert main(["test", "--config", write_config(tmp_path, cfg, "t.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: architecture: {tmp_path / 'model.nnsig'} ")
+        assert "sigmoid (2, 5, 5, 1)" in err and "relu (2, 12, 12, 12, 1)" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 0, 1), (2,) * 1025 + (1,)])
+    def test_model_file_with_invalid_dims_is_a_data_error(self, tmp_path, capsys, dims):
+        weights = sum(a * b + b for a, b in zip(dims, dims[1:]))
+        path = tmp_path / "model.nnsig"
+        path.write_bytes(MAGIC + b"\x04relu" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+                         + bytes(8 * weights))
+        assert main(["test", "--config", write_config(tmp_path, base_config(tmp_path))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: model file {path}: ") and "Traceback" not in err
+        assert len(err) < 200  # a long dims tuple is named by its count
+
+    def test_overflowing_statistic_is_a_numerical_error(self, tmp_path, capsys):
+        # tanh'(1e154 * 0) * 1e154 squared is 1e308 at each of 20 rows with x1 = 0
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n" + "".join(f"{i % 3 - 1},{i},{i % 2}\n" for i in range(60)),
+                        encoding="utf-8")
+        net = Network((2, 1, 1), (np.array([[1e154, 0.0]]), np.ones((1, 1))),
+                      (np.zeros(1), np.zeros(1)), "tanh")
+        save_network(net, tmp_path / "model.nnsig")
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"path": str(data)}
+        cfg["architecture"] = {"depth": 1, "width": 1, "activation": "tanh"}
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: the squared-gradient statistic overflows")
         assert not (tmp_path / "report.json").exists()
 
     def test_model_dimension_mismatch(self, tmp_path):
@@ -448,6 +502,21 @@ class TestConfigErrors:
             assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
             assert "configuration error: test: m must be at least 2" in capsys.readouterr().err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("section, value, key", [
+        ("architecture", {"depth": 2000}, "architecture"),
+        ("architecture", {"depth": 2 ** 63}, "architecture"),
+        ("architecture", {"width": 2 ** 63}, "architecture"),
+        ("architecture", {"width": "auto", "width_c": float("inf")}, "architecture"),
+        ("diagnostics", {"complexity": {"depth": 2 ** 63}}, "diagnostics.complexity")])
+    def test_architecture_past_the_model_file_bounds(self, tmp_path, capsys, section, value, key):
+        cfg = base_config(tmp_path)
+        cfg[section] = value
+        for command in ("train", "test", "diagnose"):
+            assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: {key}: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_retired_keys_accepted_and_ignored(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -610,6 +679,14 @@ class TestDiagnoseCommand:
             err = capsys.readouterr().err
             assert "diagnostics.complexity: n_list" in err and "Traceback" not in err
             assert not (tmp_path / "complexity.csv").exists()
+
+    def test_failing_study_leaves_no_output(self, tmp_path, capsys):
+        cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {
+            "complexity": {"width": 2, "d": 2, "n_list": [10, 20, 40], "n_eps": 5, "n_class": 3},
+            "approximation": {"widths": [4, 4, 8], "n": 100}}}
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "diagnostics.approximation: widths" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_approximation_widths_error_names_section(self, tmp_path, capsys):
         cfg = {"output": {"dir": str(tmp_path)},

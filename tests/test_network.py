@@ -180,7 +180,9 @@ class TestInitGlorot:
         expected = truncated_normal_std(glorot_sigma(3))
         assert abs(ws.std() - expected) / expected < 0.05
 
-    @pytest.mark.parametrize("dims", [(3,), (3, 5, 2), (0, 4, 1), (3, -1, 1)])
+    # the last two are past what a model file holds: a uint32 dim, 1024 dims
+    @pytest.mark.parametrize("dims", [(3,), (3, 5, 2), (0, 4, 1), (3, -1, 1), (3, 2 ** 32, 1),
+                                      (3,) * 1024 + (1,)])
     def test_invalid_dims(self, dims):
         with pytest.raises(ConfigurationError):
             init_glorot(dims, "relu", 0)

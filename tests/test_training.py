@@ -278,3 +278,7 @@ class TestFitLeastSquares:
             TrainConfig(lr_decay=0.0)
         with pytest.raises(ConfigurationError):
             ArchSpec(depth=0)
+        for bad in ({"depth": 1023}, {"width": 2 ** 32}, {"activation": "gelu"}):
+            with pytest.raises(ConfigurationError):
+                ArchSpec(**bad)
+        assert ArchSpec(depth=1022, width=3).layer_dims(4) == (4,) + (3,) * 1022 + (1,)
