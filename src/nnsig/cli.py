@@ -9,6 +9,8 @@ error, 4 numerical error or out of memory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -263,6 +265,41 @@ def _dataset_from_config(cfg: dict, target: TargetSpec | None) -> Dataset:
     return generate(target, data["generator"]["n"], data["generator"]["d"], cfg["seed"])
 
 
+def _fingerprint(cfg: dict, built: dict) -> dict:
+    """What a model fitted under this config is fitted to, one entry per
+    dotted key: the data source (the CSV's sha256 and target column, or the
+    generator section and the master seed), then every ``TrainConfig`` field.
+    Its values are as JSON reads them back, so that a saved one compares equal."""
+    data = cfg["data"]
+    if "path" in data:
+        source = {"csv_sha256": hashlib.sha256(Path(data["path"]).read_bytes()).hexdigest(),
+                  "target_column": data.get("target_column", "y")}
+    else:
+        source = {"generator": data["generator"], "seed": cfg["seed"]}
+    training = dataclasses.asdict(built["train"])
+    return json.loads(json.dumps({"data": source,
+                                  **{f"training.{k}": v for k, v in training.items()}}))
+
+
+def _check_fingerprint(cfg: dict, built: dict, model_path: Path, summary_path: Path) -> None:
+    """Exit 2 unless the train summary beside the model holds this config's
+    fingerprint; the error names the first key that differs."""
+    try:
+        saved = json.loads(summary_path.read_text(encoding="utf-8")).get("fingerprint")
+    except (OSError, ValueError, AttributeError):
+        saved = None
+    if not isinstance(saved, dict):
+        raise ConfigurationError(
+            f"output.train_summary: {summary_path} holds no fingerprint of what {model_path} "
+            "was fitted to; run nnsig train with this config, or remove the model")
+    for key, value in _fingerprint(cfg, built).items():
+        if saved.get(key) != value:
+            raise ConfigurationError(
+                f"{key}: {model_path} was fitted to other data" if key == "data" else
+                f"{key}: {model_path} was fitted with {saved.get(key)!r}, "
+                f"the config asks for {value!r}")
+
+
 def _fitted_summary(fitted) -> dict:
     return {
         "width": fitted.net.hidden_width,
@@ -323,6 +360,7 @@ def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
     model_path, history_path, summary_path = (
         _out_path(cfg, key) for key in ("model", "loss_history", "train_summary"))
     dataset = _dataset_from_config(cfg, built["target"])
+    fingerprint = _fingerprint(cfg, built)  # of the data as it was read, before the fit
     fitted = _fit(built, dataset)
     save_network(fitted.net, model_path)
     write_csv(history_path, ["epoch", "loss"], enumerate(fitted.train_loss_history))
@@ -332,6 +370,8 @@ def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
         "master_seed": cfg["seed"],
         "fitted": _fitted_summary(fitted),
         "training": _training_summary(fitted),
+        "fingerprint": fingerprint,
+        "rescale_transform": dataset.rescale_transform,
         "model_path": str(model_path),
         "loss_history_path": str(history_path),
     }
@@ -343,7 +383,8 @@ def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
 def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
     test = cfg.get("test", {})
-    report_path, model_path = _out_path(cfg, "report"), _out_path(cfg, "model")
+    report_path, model_path, summary_path = (
+        _out_path(cfg, key) for key in ("report", "model", "train_summary"))
     timings = {}
     with stage(timings, "data"):
         dataset = _dataset_from_config(cfg, built["target"])
@@ -367,6 +408,7 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
                 raise ConfigurationError(f"architecture: {model_path} holds a {net.activation} "
                                          f"{net.layer_dims} network, the config asks for "
                                          f"{built['arch'].activation} {dims}")
+            _check_fingerprint(cfg, built, model_path, summary_path)
             try:
                 risk = quadratic_loss(net, dataset.X, dataset.y)
             except NumericalError as exc:

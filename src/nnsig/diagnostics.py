@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, TargetSpec, generate, split, uniform_cube
-from .exceptions import ConfigurationError, DivergenceError
+from .exceptions import ConfigurationError, DivergenceError, allocate
 from .network import Network, forward_batch, sample_networks
 from .seeding import generator, generators
 from .training import ArchSpec, TrainConfig, fit_least_squares
@@ -57,22 +57,30 @@ def _evaluate(fn, X: np.ndarray) -> np.ndarray:
     return np.asarray(fn(X), dtype=np.float64)
 
 
-def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
-                        seed: int) -> RademacherEstimate:
-    """Mean over n_eps Rademacher draws of max over n_class sampled functions
-    of |(1/n) sum_i eps_i f(X_i)|; a lower bound on the class supremum."""
+def _check_class(n_eps: int, n_class: int) -> None:
     if n_eps < 1 or n_class < 1:
         raise ConfigurationError("n_eps and n_class must be at least 1")
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    fns = class_sampler(n_class, seed)
-    outputs = np.stack([_evaluate(f, X) for f in fns])  # (n_class, n)
+
+
+def _rademacher(outputs: np.ndarray, n_eps: int, seed: int) -> RademacherEstimate:
+    """The estimate of ``estimate_rademacher`` from the class's outputs, (n_class, n)."""
+    n = outputs.shape[1]
     rng = generator(seed, 1)
     eps = rng.choice(np.array([-1.0, 1.0]), size=(n_eps, n))
     sups = np.abs(eps @ outputs.T / n).max(axis=1)  # (n_eps,)
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(n_eps)) if n_eps > 1 else 0.0
     return RademacherEstimate(value, stderr)
+
+
+def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
+                        seed: int) -> RademacherEstimate:
+    """Mean over n_eps Rademacher draws of max over n_class sampled functions
+    of |(1/n) sum_i eps_i f(X_i)|; a lower bound on the class supremum."""
+    _check_class(n_eps, n_class)
+    X = np.asarray(X, dtype=np.float64)
+    fns = class_sampler(n_class, seed)
+    return _rademacher(np.stack([_evaluate(f, X) for f in fns]), n_eps, seed)
 
 
 def approximation_rate_experiment(target_spec: TargetSpec, widths, n: int,
@@ -116,11 +124,19 @@ def complexity_scaling_experiment(layer_dims, n_list, seed: int,
         raise ConfigurationError("n_list must be strictly increasing with >= 3 entries")
     if n_list[0] < 1:
         raise ConfigurationError(f"n_list sample sizes must be at least 1, got {n_list[0]}")
+    _check_class(n_eps, n_class)
+    # allocated first, so that an n_class no array can hold is out of memory at
+    # once; the outputs at each n are its first n_class * n elements
+    block = allocate((n_class, n_list[-1]), f"n_class = {n_class} networks of "
+                                            f"n = {n_list[-1]} outputs").reshape(-1)
     nets = sample_networks(n_class, layer_dims, activation, seed)
     estimates = []
     for n, rng in zip(n_list, generators(seed, 2, 0, len(n_list))):
         X = uniform_cube(rng, n, layer_dims[0])
-        estimates.append(estimate_rademacher(lambda count, seed: nets, X, n_eps, n_class, seed))
+        outputs = block[:n_class * n].reshape(n_class, n)
+        for k, f in enumerate(nets):
+            outputs[k] = forward_batch(f, X)
+        estimates.append(_rademacher(outputs, n_eps, seed))
     errs = [e.value for e in estimates]
     slope, stderr = loglog_slope(n_list, errs)
     return RateReport(x_values=n_list, errors=errs, log_log_slope=slope, slope_stderr=stderr)

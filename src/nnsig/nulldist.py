@@ -18,11 +18,12 @@ comes from stream (0, k) of the seed and normal draw t from stream (1, t).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, InputError, NumericalError
+from .exceptions import ConfigurationError, InputError, NumericalError, allocate
 from .network import forward_batch, output_and_gradient, sample_networks
 from .seeding import generators
 from .significance import (
@@ -181,29 +182,48 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
 
     The rows of a block are drawn from ``seeding.generators``; the tests
     compare every index against draws of ``generator(seed, 1, t)``.
+
+    The rows are filled on one helper thread, block by block in draw order,
+    into two buffers in turn: while the calling thread takes block k's
+    product, argmax and rechecks from one buffer, the helper fills block k+1
+    into the other. numpy's normal fill and the BLAS product both release the
+    GIL, so on two cores the halves overlap; on one they take turns. The
+    rows, products and rechecks are those of a serial loop, so the indices do
+    not depend on the thread. The helper is joined before ``_select`` returns
+    or raises, and an error raised while filling (a ``MemoryError``, say)
+    reaches the caller.
     """
     m = chol.shape[0]
     unit = 2.0 ** -53
     gamma = m * unit / (1.0 - m * unit)
     margin = 8.0 * gamma * float(np.linalg.norm(chol, axis=1).max())
-    idx = np.empty(n_p, dtype=np.intp)
-    g = np.empty((min(_BLOCK, n_p), m))
+    idx = allocate(n_p, f"n_p = {n_p} draws", np.intp)
+    buffers = np.empty((2, min(_BLOCK, n_p), m))  # the second is touched only from block 1
     rechecked = 0
     draws = generators(seed, 1, 0, n_p)
-    for start in range(0, n_p, _BLOCK):
-        b = min(_BLOCK, n_p - start)
-        for row, rng in zip(g[:b], draws):
+
+    def fill(g):
+        for row, rng in zip(g, draws):
             rng.standard_normal(out=row)
-        v = g[:b] @ chol.T
-        rows = np.arange(b)
-        top = np.argmax(v, axis=1)
-        top_value = v[rows, top]
-        v[rows, top] = -np.inf
-        gap = top_value - v.max(axis=1)
-        idx[start:start + b] = top
-        for r in np.flatnonzero(~(gap > margin * np.linalg.norm(g[:b], axis=1))):
-            idx[start + r] = np.argmax(chol @ g[r])
-            rechecked += 1
+
+    with ThreadPoolExecutor(1) as helper:
+        filled = helper.submit(fill, buffers[0])
+        for k, start in enumerate(range(0, n_p, _BLOCK)):
+            g = buffers[k % 2, :min(_BLOCK, n_p - start)]
+            filled.result()
+            ahead = n_p - start - _BLOCK  # draws after this block
+            if ahead > 0:
+                filled = helper.submit(fill, buffers[1 - k % 2, :min(_BLOCK, ahead)])
+            v = g @ chol.T
+            rows = np.arange(len(g))
+            top = np.argmax(v, axis=1)
+            top_value = v[rows, top]
+            v[rows, top] = -np.inf
+            gap = top_value - v.max(axis=1)
+            idx[start:start + len(g)] = top
+            for r in np.flatnonzero(~(gap > margin * np.linalg.norm(g, axis=1))):
+                idx[start + r] = np.argmax(chol @ g[r])
+                rechecked += 1
     return idx, rechecked
 
 
@@ -221,7 +241,7 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     n, d = X.shape
     timings = {}
     # allocated first, so that an m no array can hold is out of memory at once
-    outputs = np.empty((cfg.m, n))
+    outputs = allocate((cfg.m, n), f"m = {cfg.m} networks of n = {n} outputs")
     stats = np.empty((cfg.m, d))
     with stage(timings, "sample"):
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)

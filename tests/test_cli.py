@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnsig.diagnostics
 from nnsig import cli
 from nnsig.cli import main
 from nnsig.data import TargetSpec, generate, load_csv
@@ -332,8 +333,9 @@ class TestTestCommand:
         assert "configuration error: test.rate_constants: " in err and "Traceback" not in err
 
     def test_null_too_large_for_memory_is_exit_4(self, tmp_path, capsys):
-        # 10**12 networks: their outputs are allocated before any is sampled
-        for key, size in (("n_p", 10 ** 15), ("m", 10 ** 12)):
+        # 10**12 networks: their outputs are allocated before any is sampled;
+        # 2**62, past numpy's index range, once ended in a traceback
+        for key, size in (("n_p", 10 ** 15), ("m", 10 ** 12), ("n_p", 2 ** 62), ("m", 2 ** 62)):
             cfg = base_config(tmp_path)
             cfg["test"][key] = size
             assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
@@ -352,8 +354,10 @@ class TestTestCommand:
         # squared residuals near 1e308 each: their sum overflows in math.fsum
         cfg = base_config(tmp_path, n=50)
         cfg["architecture"] = {"depth": 1, "width": 4, "activation": "relu"}
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 0  # the summary fingerprints the config
         save_network(linear_network([1.3e154, 0.0], 0.0), tmp_path / "model.nnsig")
-        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
+        assert main(["test", "--config", path]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert str(tmp_path / "model.nnsig") in err
@@ -382,6 +386,65 @@ class TestTestCommand:
         assert "sigmoid (2, 5, 5, 1)" in err and "relu (2, 12, 12, 12, 1)" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_model_fitted_to_other_data_is_not_reused(self, tmp_path, capsys):
+        # a model of beta = (1, 0) once gave p = 0.33 for variable 1 of beta = (0, 3)
+        assert main(["train", "--config", write_config(tmp_path, base_config(tmp_path))]) == 0
+        capsys.readouterr()
+        cfg = base_config(tmp_path, beta=(0.0, 3.0))
+        assert main(["test", "--config", write_config(tmp_path, cfg, "t.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: data: {tmp_path / 'model.nnsig'} "
+                       "was fitted to other data\n")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", 0.25), ("epochs", 41),
+                                            ("moment_bound", 7.0)])
+    def test_model_fitted_with_other_training_is_not_reused(self, tmp_path, capsys, key,
+                                                            value):
+        cfg = base_config(tmp_path)
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        cfg["training"][key] = value
+        assert main(["test", "--config", write_config(tmp_path, cfg, "t.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: training.{key}: "
+                              f"{tmp_path / 'model.nnsig'} was fitted with ")
+        assert err.rstrip().endswith(f"the config asks for {value!r}")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_changed_csv_is_other_data(self, tmp_path, capsys):
+        assert main(["generate", "--config", write_config(tmp_path, base_config(tmp_path))]) == 0
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"path": str(tmp_path / "dataset.csv"), "target_column": "y"}
+        path = write_config(tmp_path, cfg, "t.json")
+        assert main(["train", "--config", path]) == 0
+        summary = json.loads((tmp_path / "train_summary.json").read_text())
+        transform = load_csv(tmp_path / "dataset.csv", "y").rescale_transform
+        assert summary["rescale_transform"] == [list(pair) for pair in transform]
+        assert main(["test", "--config", path]) == 0
+        with open(tmp_path / "dataset.csv", "a", encoding="utf-8") as f:
+            f.write("0.5,0.5,0.5\n")
+        capsys.readouterr()
+        assert main(["test", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: data: ")
+
+    @pytest.mark.parametrize("summary", [None, "{not json", "[]", '{"fingerprint": 3}',
+                                         '{"version": "0"}'])
+    def test_model_without_fingerprint_is_not_reused(self, tmp_path, capsys, summary):
+        cfg = base_config(tmp_path)
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 0
+        if summary is None:
+            (tmp_path / "train_summary.json").unlink()
+        else:
+            (tmp_path / "train_summary.json").write_text(summary, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["test", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.train_summary: ")
+        assert str(tmp_path / "model.nnsig") in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 0, 1), (2,) * 1025 + (1,)])
     def test_model_file_with_invalid_dims_is_a_data_error(self, tmp_path, capsys, dims):
         weights = sum(a * b + b for a, b in zip(dims, dims[1:]))
@@ -400,11 +463,13 @@ class TestTestCommand:
                         encoding="utf-8")
         net = Network((2, 1, 1), (np.array([[1e154, 0.0]]), np.ones((1, 1))),
                       (np.zeros(1), np.zeros(1)), "tanh")
-        save_network(net, tmp_path / "model.nnsig")
         cfg = base_config(tmp_path)
         cfg["data"] = {"path": str(data)}
         cfg["architecture"] = {"depth": 1, "width": 1, "activation": "tanh"}
-        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 0  # the summary fingerprints the config
+        save_network(net, tmp_path / "model.nnsig")
+        assert main(["test", "--config", path]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical error: the squared-gradient statistic overflows")
         assert not (tmp_path / "report.json").exists()
@@ -679,6 +744,30 @@ class TestDiagnoseCommand:
             err = capsys.readouterr().err
             assert "diagnostics.complexity: n_list" in err and "Traceback" not in err
             assert not (tmp_path / "complexity.csv").exists()
+
+    @pytest.mark.parametrize("n_class", [10 ** 15, 2 ** 62])
+    def test_class_too_large_for_memory_is_exit_4(self, tmp_path, capsys, monkeypatch, n_class):
+        # its outputs are allocated before any network is sampled; numpy
+        # refuses both sizes at once: 2**62 past the index range, 10**15
+        # networks of 40 outputs past any address space
+        def no_sampling(*args):
+            raise AssertionError("networks sampled before the outputs were allocated")
+
+        monkeypatch.setattr(nnsig.diagnostics, "sample_networks", no_sampling)
+        cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {"complexity": {
+            "width": 2, "n_list": [10, 20, 40], "n_eps": 2, "n_class": n_class}}}
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("n_eps, n_class", [(0, 3), (2, 0), (2, -5)])
+    def test_complexity_class_sizes_below_one(self, tmp_path, capsys, n_eps, n_class):
+        cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {"complexity": {
+            "width": 2, "n_list": [10, 20, 40], "n_eps": n_eps, "n_class": n_class}}}
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: diagnostics.complexity: n_eps and n_class")
 
     def test_failing_study_leaves_no_output(self, tmp_path, capsys):
         cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -216,6 +217,34 @@ class TestNullSample:
                 ties += 1
                 assert k == 4
         assert ties > 0
+
+    @pytest.mark.parametrize("fail_at", [256, 300, 599])
+    def test_draw_error_in_a_later_block_reaches_the_caller(self, monkeypatch, fail_at):
+        real = nnsig.nulldist.generators
+        advanced = []
+
+        def failing(seed, head, start, count):
+            for t, rng in enumerate(real(seed, head, start, count)):
+                advanced.append((threading.get_ident(), t))
+                if t == fail_at:
+                    raise MemoryError(f"draw {t}")
+                yield rng
+
+        monkeypatch.setattr(nnsig.nulldist, "generators", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match=f"draw {fail_at}"):
+            _select(np.linalg.cholesky(np.eye(9) + 0.4), 6, 600)
+        assert threading.active_count() == threads
+        # only the helper thread draws, in order, and never past the failing draw
+        assert [t for _, t in advanced] == list(range(fail_at + 1))
+        assert threading.get_ident() not in {ident for ident, _ in advanced}
+
+    @pytest.mark.parametrize("n_p", [1, 256, 600])
+    def test_no_thread_outlives_the_call(self, n_p):
+        threads = threading.active_count()
+        chol = np.linalg.cholesky(np.eye(5) + 0.2)
+        _select(chol, 2, n_p)
+        assert threading.active_count() == threads
 
     def test_prefix_does_not_depend_on_n_p(self):
         chol = np.linalg.cholesky(np.eye(7) + 0.5)
