@@ -44,13 +44,7 @@ from .nulldist import (
     significance_test,
     significance_tests,
 )
-from .significance import (
-    RateConstants,
-    StatConfig,
-    VariableStatistic,
-    all_statistics,
-    normalization_factor,
-)
+from .significance import VariableStatistic, all_statistics
 from .training import (
     ArchSpec,
     FittedModel,

@@ -23,7 +23,6 @@ from .exceptions import ConfigurationError, InputError, NumericalError
 from .diagnostics import approximation_rate_experiment, complexity_scaling_experiment
 from .network import load as load_network, save as save_network, second_moment
 from .nulldist import NullConfig, significance_tests
-from .significance import RateConstants, StatConfig
 from .timing import stage
 from .training import ArchSpec, FittedModel, TrainConfig, fit_least_squares, quadratic_loss
 
@@ -95,11 +94,10 @@ _KEYS = {
                  "moment_bound": _real},
     "test": {
         "variables": _integers, "m": _integer, "n_p": _integer, "lambda_shrink": _real,
-        "sigma_scale": _string, "seed": _integer, "normalization_mode": _string,
-        "rate_constants": {"h_n": _integer, "lipschitz": _real, "depth": _integer,
-                           "s_over_d": _real, "c_prime": None},
+        "sigma_scale": _string, "seed": _integer,
         "include_null_samples": _bool, "null_samples_csv": _bool,
         "workers": None, "alpha_adapt": None, "m_max": None, "adapt_tol": None,
+        "normalization_mode": None, "rate_constants": None,
     },
     "diagnostics": {
         "complexity": {"width": _integer, "depth": _integer, "d": _integer,
@@ -231,10 +229,6 @@ def _settings(cfg: dict) -> dict:
     gen = cfg.get("data", {}).get("generator")
     if gen is not None:
         _require(gen, "data.generator", "n", "d")
-    rc = test.get("rate_constants") if test.get("normalization_mode") == "rate" else None
-    if rc is not None:
-        _require(rc, "test.rate_constants", "h_n", "lipschitz", "depth", "s_over_d")
-        rc = _build(RateConstants, "test.rate_constants", rc)
     studies = {name: {**diag[name], "seed": seed} for name in _STUDIES if name in diag}
     if "complexity" in studies:
         study = studies["complexity"]
@@ -248,8 +242,6 @@ def _settings(cfg: dict) -> dict:
         "target": None if gen is None else _target_spec(gen, "data.generator"),
         "arch": _build(ArchSpec, "architecture", cfg.get("architecture", {})),
         "train": _build(TrainConfig, "training", {"seed": seed, **cfg.get("training", {})}),
-        "stat": _build(StatConfig, "test", {**_pick(test, "normalization_mode"),
-                                            "rate_constants": rc}),
         "null": _build(NullConfig, "test", {
             "seed": seed, **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")}),
         "studies": studies,
@@ -422,13 +414,13 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
         else:
             fitted = _fit(built, dataset)
 
-    tested = significance_tests(fitted, dataset, variables, built["null"], built["stat"])
+    tested = significance_tests(fitted, dataset, variables, built["null"])
     results = []
     for res in tested:
         entry = {
             "variable_index": res.variable_index,
             "observed_raw": res.observed.raw,
-            "observed_normalized": res.observed.normalized,
+            "observed_normalized": res.observed.raw,
             "p_value": res.p_value,
             "seed": res.seed,
         }
@@ -446,7 +438,6 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
         "fitted": _fitted_summary(fitted),
         "training": _training_summary(fitted),
         "flags": {
-            "normalization_mode": built["stat"].normalization_mode,
             "sigma_scale": built["null"].sigma_scale,
             "glorot_truncation": "plus_minus_2_sigma_resample",
         },

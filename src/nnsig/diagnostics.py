@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, TargetSpec, generate, split, uniform_cube
-from .exceptions import ConfigurationError, DivergenceError, allocate
+from .exceptions import ConfigurationError, DivergenceError, NumericalError, allocate
 from .network import Network, forward_batch, sample_networks
 from .seeding import generator, generators
 from .training import ArchSpec, TrainConfig, fit_least_squares
@@ -90,7 +90,8 @@ def approximation_rate_experiment(target_spec: TargetSpec, widths, n: int,
     """Held-out RMSE of fitted networks against a noiseless target, per width.
 
     Uses a 50/50 split; widths whose training diverges are excluded from the
-    regression with a warning.
+    regression with a warning, and a NumericalError names them when fewer
+    than 3 widths are left for the slope.
     """
     widths = list(widths)
     if len(widths) < 3 or any(b <= a for a, b in zip(widths, widths[1:])):
@@ -98,18 +99,22 @@ def approximation_rate_experiment(target_spec: TargetSpec, widths, n: int,
     dataset = generate(target_spec, n, d, seed)
     train, test = split(dataset, 0.5, seed + 1)
 
-    xs, errs = [], []
+    xs, errs, diverged = [], [], []
     for width in widths:
         arch = ArchSpec(depth=depth, width=width, activation=activation)
         try:
             fitted = fit_least_squares(train, arch, train_cfg)
         except DivergenceError as exc:
             warnings.warn(f"width {width} diverged and is excluded: {exc}")
+            diverged.append(width)
             continue
         pred = forward_batch(fitted.net, test.X)
         rmse = float(np.sqrt(np.mean((pred - test.y) ** 2)))
         xs.append(width)
         errs.append(rmse)
+    if len(xs) < 3:
+        raise NumericalError(f"widths {diverged} diverged, leaving {len(xs)} of the "
+                             "3 a slope estimate needs")
     slope, stderr = loglog_slope(xs, errs)
     return RateReport(x_values=xs, errors=errs, log_log_slope=slope, slope_stderr=stderr)
 

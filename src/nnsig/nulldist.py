@@ -26,13 +26,7 @@ import numpy as np
 from .exceptions import ConfigurationError, InputError, NumericalError, allocate
 from .network import forward_batch, output_and_gradient, sample_networks
 from .seeding import generators
-from .significance import (
-    StatConfig,
-    VariableStatistic,
-    all_statistics,
-    mean_squares,
-    normalization_factor,
-)
+from .significance import VariableStatistic, all_statistics, mean_squares
 from .timing import stage
 from .training import FittedModel
 
@@ -79,7 +73,7 @@ class CovMatrix:
 class SharedNull:
     """The null of one run: what steps 1-3 produce for every variable at once."""
 
-    stats: np.ndarray  # (m, d) normalized statistic of each sampled network
+    stats: np.ndarray  # (m, d) statistic of each sampled network
     idx: np.ndarray  # (n_p,) network selected by each draw
     jitter_used: float
     rechecked_draws: int  # draws the block product could not certify
@@ -227,8 +221,7 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
     return idx, rechecked
 
 
-def build_null(fitted: FittedModel, X, cfg: NullConfig,
-               stat_cfg: StatConfig = StatConfig()) -> SharedNull:
+def build_null(fitted: FittedModel, X, cfg: NullConfig) -> SharedNull:
     """Steps 1-3 once: one fused pass per sampled network, one factorization,
     one set of selections.
 
@@ -238,6 +231,8 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     reusable buffer, summed by one ``exact_column_sums`` call.
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.size == 0:
+        raise InputError("empty covariate matrix")
     n, d = X.shape
     timings = {}
     # allocated first, so that an m no array can hold is out of memory at once
@@ -246,7 +241,6 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
     with stage(timings, "sample"):
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
     with stage(timings, "evaluate"):
-        u = normalization_factor(stat_cfg, n)
         per_block = max(1, _SUM_BLOCK // (n * d))
         squares = np.empty((n, min(per_block, cfg.m) * d))
         fallbacks = 0
@@ -255,8 +249,8 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig,
             for r, f in enumerate(block):
                 outputs[start + r], g = output_and_gradient(f, X)
                 np.multiply(g, g, out=squares[:, r * d:(r + 1) * d])
-            _, normalized, certified = mean_squares(squares[:, :len(block) * d], u)
-            stats[start:start + len(block)] = normalized.reshape(len(block), d)
+            raw, certified = mean_squares(squares[:, :len(block) * d])
+            stats[start:start + len(block)] = raw.reshape(len(block), d)
             fallbacks += int(np.count_nonzero(~certified))
         cov = _gram(outputs)
     with stage(timings, "cholesky"):
@@ -276,15 +270,15 @@ def _check_variables(variables, d: int) -> None:
             raise InputError(f"variable index {j} out of range for dimension {d}")
 
 
-def p_value_from_null(observed_normalized: float, null_samples) -> float:
+def p_value_from_null(observed: float, null_samples) -> float:
     """(1 + #{null >= observed}) / (n_p + 1); always in (0, 1]."""
     n_p = len(null_samples)
-    count = sum(1 for v in null_samples if v >= observed_normalized)
+    count = sum(1 for v in null_samples if v >= observed)
     return (1 + count) / (n_p + 1)
 
 
-def significance_tests(fitted: FittedModel, dataset, variables, cfg: NullConfig,
-                       stat_cfg: StatConfig = StatConfig()) -> list[TestResult]:
+def significance_tests(fitted: FittedModel, dataset, variables,
+                       cfg: NullConfig) -> list[TestResult]:
     """Full tests of the given variables against one shared null.
 
     Returns one TestResult per entry of ``variables``, in order; the results
@@ -295,8 +289,8 @@ def significance_tests(fitted: FittedModel, dataset, variables, cfg: NullConfig,
     if not variables:
         return []
     X = np.asarray(dataset.X, dtype=np.float64)
-    observed = all_statistics(fitted.net, X, stat_cfg)
-    null = build_null(fitted, X, cfg, stat_cfg)
+    observed = all_statistics(fitted.net, X)
+    null = build_null(fitted, X, cfg)
     results = []
     for j in variables:
         samples = null.samples(j)
@@ -304,14 +298,13 @@ def significance_tests(fitted: FittedModel, dataset, variables, cfg: NullConfig,
             variable_index=j,
             observed=observed[j],
             null_samples=samples,
-            p_value=p_value_from_null(observed[j].normalized, samples),
+            p_value=p_value_from_null(observed[j].raw, samples),
             seed=cfg.seed,
             null=null,
         ))
     return results
 
 
-def significance_test(fitted: FittedModel, dataset, j: int, cfg: NullConfig,
-                      stat_cfg: StatConfig = StatConfig()) -> TestResult:
+def significance_test(fitted: FittedModel, dataset, j: int, cfg: NullConfig) -> TestResult:
     """Full test for variable j: observed statistic, null samples, p-value."""
-    return significance_tests(fitted, dataset, [j], cfg, stat_cfg)[0]
+    return significance_tests(fitted, dataset, [j], cfg)[0]

@@ -1,4 +1,4 @@
-"""Squared-partial-derivative test statistics and their normalization.
+"""Squared-partial-derivative test statistics.
 
 The raw statistic for variable j is the mean over sample points of the
 squared j-th input gradient component. Its sum is the exactly rounded one that
@@ -15,70 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, InputError, NumericalError
+from .exceptions import InputError, NumericalError
 from .network import Network, input_gradient_batch
-
-
-@dataclass(frozen=True)
-class RateConstants:
-    """Constants for the rate-based normalization: width H, Lipschitz constant
-    of the activation, depth, and smoothness ratio s/d."""
-
-    h_n: int
-    lipschitz: float
-    depth: int
-    s_over_d: float
-
-    def __post_init__(self):  # the ranges where normalization_factor is finite and positive
-        if self.h_n < 1 or self.depth < 1:
-            raise ConfigurationError(f"h_n {self.h_n} and depth {self.depth} must be at least 1")
-        if not (0.0 < self.lipschitz < math.inf and 0.0 < self.s_over_d < math.inf):
-            raise ConfigurationError(f"lipschitz {self.lipschitz} and s_over_d "
-                                     f"{self.s_over_d} must be finite and positive")
-        try:
-            scale = self.h_n * self.lipschitz ** self.depth
-        except OverflowError:
-            scale = math.inf
-        if not 0.0 < scale < math.inf:
-            raise ConfigurationError(
-                f"h_n * lipschitz ** depth must be finite and positive, got {scale}")
-
-
-@dataclass(frozen=True)
-class StatConfig:
-    normalization_mode: str = "identity"  # "identity" | "rate"
-    rate_constants: RateConstants | None = None
-
-    def __post_init__(self):
-        if self.normalization_mode not in ("identity", "rate"):
-            raise ConfigurationError(
-                f"unknown normalization mode {self.normalization_mode!r}"
-            )
-        if self.normalization_mode == "rate" and self.rate_constants is None:
-            raise ConfigurationError("rate normalization requires rate_constants")
 
 
 @dataclass(frozen=True)
 class VariableStatistic:
     raw: float
-    normalized: float
 
-
-def normalization_factor(cfg: StatConfig, n: int) -> float:
-    """Return U; downstream statistics are divided by U^2.
-
-    Identity mode returns 1. Rate mode returns
-    sqrt(H * L^depth / sqrt(n)) + H^(-s/d), the estimation-plus-approximation
-    rate with its leading constants left at 1.
-    """
-    if n < 1:
-        raise InputError("n must be at least 1")
-    if cfg.normalization_mode == "identity":
-        return 1.0
-    rc = cfg.rate_constants
-    return math.sqrt(rc.h_n * rc.lipschitz ** rc.depth / math.sqrt(n)) + rc.h_n ** (
-        -rc.s_over_d
-    )
+    @property
+    def normalized(self) -> float:
+        """The statistic the null samples are compared with: ``raw`` itself."""
+        return self.raw
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -188,25 +136,22 @@ def exact_column_sums(q) -> tuple[np.ndarray, np.ndarray]:
     return sums, certified
 
 
-def mean_squares(squares: np.ndarray, u: float) -> tuple:
-    """``(raw, normalized, certified)`` of each column of an (n, k) array of
-    squared gradients: raw is the column mean, its sum exactly rounded by
-    ``exact_column_sums`` (whose ``certified`` is passed on), and normalized
-    is raw / u**2."""
+def mean_squares(squares: np.ndarray) -> tuple:
+    """``(raw, certified)`` of each column of an (n, k) array of squared
+    gradients: raw is the column mean, its sum exactly rounded by
+    ``exact_column_sums``, whose ``certified`` is passed on."""
     try:
         sums, certified = exact_column_sums(squares)
     except OverflowError:  # finite squares whose sum exceeds the float range
         raise NumericalError("the squared-gradient statistic overflows the float range") from None
-    raw = sums / len(squares)
-    with np.errstate(over="ignore"):  # inf, as float division gives it
-        return raw, raw / (u * u), certified
+    return sums / len(squares), certified
 
 
-def all_statistics(net: Network, X, cfg: StatConfig = StatConfig()) -> list:
+def all_statistics(net: Network, X) -> list:
     """One VariableStatistic per input dimension from a single gradient pass."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise InputError("empty covariate matrix")
     grads = input_gradient_batch(net, X)
-    raw, normalized, _ = mean_squares(grads * grads, normalization_factor(cfg, len(X)))
-    return [VariableStatistic(r, v) for r, v in zip(raw.tolist(), normalized.tolist())]
+    raw, _ = mean_squares(grads * grads)
+    return [VariableStatistic(r) for r in raw.tolist()]

@@ -78,6 +78,11 @@ def table_names(table):
     return {path[-1] for path in table_paths(table)}
 
 
+def nested_values(inner):
+    """Lists and objects of ``inner`` values, the ``extend`` of a recursive strategy."""
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
 class TestGenerateCommand:
     def test_writes_csv(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -200,7 +205,8 @@ class TestTestCommand:
             assert len(r["null_samples"]) == 50
             assert all(v >= 0.0 for v in r["null_samples"])
         assert report["flags"]["sigma_scale"] == "raw"
-        assert report["flags"]["normalization_mode"] == "identity"
+        assert "normalization_mode" not in report["flags"]
+        assert all(r["observed_normalized"] == r["observed_raw"] for r in results)
         assert report["fitted"]["width"] == 5
 
     def test_active_vs_dead_variable(self, tmp_path):
@@ -309,28 +315,12 @@ class TestTestCommand:
 
         monkeypatch.setattr(cli, "_fit", no_fit)
         cases = (("m", 1, "test: m must be at least 2"),
-                 ("variables", [5], "test.variables: index 5 out of range for d=2"),
-                 ("normalization_mode", "rate", "test: rate normalization requires rate_constants"))
+                 ("variables", [5], "test.variables: index 5 out of range for d=2"))
         for key, bad, message in cases:
             cfg = base_config(tmp_path)
             cfg["test"][key] = bad
             assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
             assert f"configuration error: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("constants", [{"h_n": 0}, {"lipschitz": -1}, {"h_n": -4},
-                                           {"lipschitz": 1e300, "depth": 3}])
-    def test_out_of_range_rate_constants_exit_before_fit(self, tmp_path, capsys, monkeypatch,
-                                                        constants):
-        def no_fit(cfg, dataset):
-            raise AssertionError("fit called before the rate constants were checked")
-
-        monkeypatch.setattr(cli, "_fit", no_fit)
-        cfg = base_config(tmp_path, n=100)
-        cfg["test"].update(normalization_mode="rate", rate_constants={
-            "h_n": 5, "lipschitz": 1.0, "depth": 2, "s_over_d": 1.0, **constants})
-        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error: test.rate_constants: " in err and "Traceback" not in err
 
     def test_null_too_large_for_memory_is_exit_4(self, tmp_path, capsys):
         # 10**12 networks: their outputs are allocated before any is sampled;
@@ -587,10 +577,12 @@ class TestConfigErrors:
         cfg = base_config(tmp_path)
         plain, _ = cli._load_config(write_config(tmp_path, cfg, "plain.json"))
         cfg["test"].update(workers=4, alpha_adapt=0.05, m_max=800, adapt_tol=0.01,
-                           rate_constants={"c_prime": 2.0})
+                           normalization_mode="rate", rate_constants={
+                               "h_n": 10, "lipschitz": 1.0, "depth": 2, "s_over_d": 1.0,
+                               "c_prime": 2.0})
         retired, echo = cli._load_config(write_config(tmp_path, cfg, "retired.json"))
         assert echo == cfg
-        assert retired == {**plain, "test": {**plain["test"], "rate_constants": {}}}
+        assert retired == plain
 
     def test_readme_config_passes_table(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -612,9 +604,7 @@ class TestConfigErrors:
                # values at the edges of the kinds and of the dataclasses' ranges
                | st.sampled_from([0, 1, -1, 0.5, 2.5, 10 ** 400, float("inf"), "auto",
                                   "rate", "smooth_sin", "null_variable"]),
-               lambda inner: st.lists(inner, max_size=3)
-               | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-               max_leaves=6))
+               nested_values, max_leaves=6))
     def test_fuzzed_value_is_a_configuration_error_naming_its_key(self, path, value):
         cfg = base_config("out")
         cfg["data"]["generator"]["base"] = {"kind": "linear", "beta": [1.0, 0.0]}
@@ -785,6 +775,17 @@ class TestDiagnoseCommand:
         assert "diagnostics.approximation: widths must be strictly increasing" in err
         assert "Traceback" not in err
         assert not (tmp_path / "approximation.csv").exists()
+
+    def test_every_width_diverging_is_a_numerical_error(self, tmp_path, capsys):
+        cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {"approximation": {
+            "n": 600, "widths": [2, 3, 4],
+            "training": {"epochs": 3, "learning_rate": 1e300, "lr_decay": 1.0}}}}
+        with pytest.warns(UserWarning, match="diverged and is excluded"):
+            assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: widths [2, 3, 4] diverged")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def cfg_out(cfg):

@@ -24,12 +24,7 @@ from nnsig.nulldist import (
     significance_tests,
 )
 from nnsig.seeding import generator
-from nnsig.significance import (
-    RateConstants,
-    StatConfig,
-    all_statistics,
-    normalization_factor,
-)
+from nnsig.significance import all_statistics
 from nnsig.training import ArchSpec, FittedModel, TrainConfig, fit_least_squares
 
 
@@ -304,19 +299,21 @@ class TestNullDistribution:
         X = np.random.default_rng(41).uniform(-1, 1, (257, 3))
         net = init_glorot((3, 6, 6, 1), activation, 42)
         fitted = FittedModel(net, [], 0.0, second_moment(net, X))
-        stat_cfg = StatConfig(normalization_mode="rate", rate_constants=RateConstants(
-            h_n=6, lipschitz=1.0, depth=2, s_over_d=1.0))
-        u = normalization_factor(stat_cfg, len(X))
         # three networks per exact_column_sums call: blocks of 3, 3 and 1
         monkeypatch.setattr(nnsig.nulldist, "_SUM_BLOCK", 3 * X.size)
         cfg = NullConfig(m=7, n_p=20, seed=43)
-        null = build_null(fitted, X, cfg, stat_cfg)
+        null = build_null(fitted, X, cfg)
         nets = sample_networks(cfg.m, net.layer_dims, activation, cfg.seed)
         for k, f in enumerate(nets):
             g = input_gradient_batch(f, X)
-            want = [math.fsum(col) / len(X) / (u * u) for col in (g * g).T.tolist()]
+            want = [math.fsum(col) / len(X) for col in (g * g).T.tolist()]
             assert null.stats[k].tolist() == want
         assert null.fsum_fallbacks == 0
+
+    def test_empty_input(self, small_fitted):
+        fitted, _ = small_fitted
+        with pytest.raises(InputError, match="empty covariate matrix"):
+            build_null(fitted, np.empty((0, 2)), NullConfig(m=3, n_p=5))
 
     def test_deterministic_across_runs(self, small_fitted):
         fitted, ds = small_fitted
@@ -344,19 +341,6 @@ class TestSignificanceTest:
             fitted, ds, 0, NullConfig(m=20, n_p=99, seed=12, sigma_scale="four_sigma2")
         ).p_value
         assert p_raw == p_scaled
-
-    def test_normalization_mode_invariant_p(self, small_fitted):
-        from nnsig.significance import RateConstants
-
-        fitted, ds = small_fitted
-        cfg = NullConfig(m=20, n_p=99, seed=13)
-        p_id = significance_test(fitted, ds, 0, cfg, StatConfig()).p_value
-        rate = StatConfig(
-            normalization_mode="rate",
-            rate_constants=RateConstants(h_n=5, lipschitz=0.25, depth=2, s_over_d=1.0),
-        )
-        p_rate = significance_test(fitted, ds, 0, cfg, rate).p_value
-        assert p_id == p_rate
 
     def test_shared_null_matches_per_variable_tests(self):
         spec = TargetSpec(kind="linear", beta=(1.0, 0.0, 0.5), noise_sigma=0.1)

@@ -6,21 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nnsig.exceptions import ConfigurationError, InputError, NumericalError
+from nnsig.exceptions import InputError, NumericalError
 from nnsig.network import init_glorot, input_gradient_batch, linear_network
-from nnsig.significance import (
-    RateConstants,
-    StatConfig,
-    all_statistics,
-    exact_column_sums,
-    mean_squares,
-    normalization_factor,
-)
-
-RATE_CFG = StatConfig(
-    normalization_mode="rate",
-    rate_constants=RateConstants(h_n=10, lipschitz=1.0, depth=2, s_over_d=1.0),
-)
+from nnsig.significance import all_statistics, exact_column_sums, mean_squares
 
 
 class TestEmpiricalStatistic:
@@ -86,56 +74,21 @@ class TestEmpiricalStatistic:
             assert stat.raw == pytest.approx(b * b, abs=1e-12)
 
 
-class TestNormalization:
-    def test_identity_mode(self):
-        assert normalization_factor(StatConfig(), 1) == 1.0
-        assert normalization_factor(StatConfig(), 10_000_000) == 1.0
-
-    def test_rate_mode_arithmetic(self):
-        # sqrt(10 * 1^2 / sqrt(10000)) + 10^-1 = sqrt(0.1) + 0.1
-        u = normalization_factor(RATE_CFG, 10_000)
-        assert u == pytest.approx(math.sqrt(0.1) + 0.1, abs=1e-10)
-        assert u == pytest.approx(0.41623, abs=5e-6)
-
-    def test_rate_mode_decreasing_in_n(self):
-        us = [normalization_factor(RATE_CFG, n) for n in (100, 1000, 10_000, 100_000)]
-        assert all(a > b for a, b in zip(us, us[1:]))
-
-    def test_rate_mode_requires_constants(self):
-        with pytest.raises(ConfigurationError):
-            StatConfig(normalization_mode="rate")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            StatConfig(normalization_mode="zscore")
-
-    def test_normalized_is_raw_over_u_squared(self):
-        net = init_glorot((3, 5, 5, 1), "tanh", 6)
-        X = np.random.default_rng(5).uniform(-1, 1, (100, 3))
-        stat = all_statistics(net, X, RATE_CFG)[0]
-        u = normalization_factor(RATE_CFG, 100)
-        assert stat.normalized == pytest.approx(stat.raw / u ** 2, rel=1e-15)
-
-
 class TestAllStatistics:
     def test_matches_separate_calls_bitwise(self):
         net = init_glorot((3, 6, 6, 1), "sigmoid", 7)
         X = np.random.default_rng(6).uniform(-1, 1, (80, 3))
-        batch = all_statistics(net, X, RATE_CFG)
+        batch = all_statistics(net, X)
         g = input_gradient_batch(net, X)
-        u = normalization_factor(RATE_CFG, len(X))
         for j in range(3):
-            raw, normalized, _ = mean_squares(g[:, [j]] ** 2, u)
-            assert batch[j].raw == raw[0]
-            assert batch[j].normalized == normalized[0]
+            raw, _ = mean_squares(g[:, [j]] ** 2)
+            assert batch[j].raw == batch[j].normalized == raw[0]
 
     def test_mean_squares_are_fsum_means(self):
         grads = np.random.default_rng(8).normal(size=(50, 3)) * [1e-8, 1.0, 1e8]
-        u = 1.7
-        raw, normalized, certified = mean_squares(grads * grads, u)
+        raw, certified = mean_squares(grads * grads)
         for j in range(3):
             assert raw[j] == math.fsum(g * g for g in grads[:, j].tolist()) / 50
-            assert normalized[j] == raw[j] / (u * u)
         assert certified.all()
 
     def test_linear_vector(self):
@@ -213,9 +166,9 @@ class TestExactColumnSums:
         assert_matches_fsum(got, certified, columns)
 
     @settings(max_examples=100, deadline=None)
-    @given(q=summand_columns(), u=st.floats(0.1, 10.0))
-    @example(q=np.full((8, 1), 1.7e308), u=1.0)  # finite squares, their sum is not
-    def test_mean_squares_match_fsum(self, q, u):
+    @given(q=summand_columns())
+    @example(q=np.full((8, 1), 1.7e308))  # finite squares, their sum is not
+    def test_mean_squares_match_fsum(self, q):
         grads = np.sqrt(np.abs(q)) / 2.0  # squares stay finite where q is
         n = len(grads)
         try:
@@ -223,16 +176,14 @@ class TestExactColumnSums:
         except (OverflowError, ValueError) as exc:
             # a sum past the float range is the statistic's numerical error
             with pytest.raises(NumericalError if isinstance(exc, OverflowError) else type(exc)):
-                mean_squares(grads * grads, u)
+                mean_squares(grads * grads)
             return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            raw_sums, normalized_sums, _ = mean_squares(grads * grads, u)
-        stats = zip(raw_sums.tolist(), normalized_sums.tolist())
-        for (raw, normalized), col in zip(stats, (grads * grads).T.tolist()):
+            raw_sums, _ = mean_squares(grads * grads)
+        for raw, col in zip(raw_sums.tolist(), (grads * grads).T.tolist()):
             want = math.fsum(col) / n
             assert raw == want or math.isnan(raw) and math.isnan(want)
-            assert normalized == raw / (u * u) or math.isnan(normalized)
 
     def test_midpoint_falls_back(self):
         # s + E rounds to 1.0, but the sum lies above the midpoint 1 + 2**-53
