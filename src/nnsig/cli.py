@@ -9,9 +9,11 @@ error, 4 numerical error or out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -189,6 +191,19 @@ def _out_path(cfg: dict, key: str, suffix: str = "") -> Path:
     if path.is_dir():
         raise ConfigurationError(f"output.{key}: {path} is a directory")
     return path
+
+
+def _missing_dirs(cfg: dict) -> list:
+    """The directories above any output path of ``cfg`` that do not exist
+    yet, deepest first: those ``_out_path`` may create."""
+    out = cfg["output"]
+    missing = set()
+    for key, name in _OUTPUTS.items():
+        parent = (Path(out.get("dir", ".")) / out.get(key, name)).parent
+        while not os.path.exists(parent) and parent != parent.parent:
+            missing.add(parent)
+            parent = parent.parent
+    return sorted(missing, key=lambda p: len(p.parts), reverse=True)
 
 
 def _target_spec(gen: dict, key: str) -> TargetSpec:
@@ -506,10 +521,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
+    missing = []
     try:
         cfg, echo = _load_config(args.config, args.seed, args.out)
+        missing = _missing_dirs(cfg)
         return _COMMANDS[args.command](cfg, echo, _settings(cfg))
     except tuple(_EXITS) as exc:
+        for path in missing:  # the directories this run created, if still empty
+            with contextlib.suppress(OSError):
+                path.rmdir()
         kind, code = next(v for error, v in _EXITS.items() if isinstance(exc, error))
         print(f"{kind}: {exc}", file=sys.stderr)
         return code

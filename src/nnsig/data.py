@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +117,10 @@ def load_csv(path, target_column: str) -> Dataset:
 
     Data rows are numbered from 1 in error messages. Columns with zero range
     cannot be rescaled and are rejected, as is a file with no column besides
-    the target. A file that cannot be opened or
-    decoded as UTF-8, or that the csv module cannot parse, is an
-    ``IngestionError`` too.
+    the target and a header that names a column twice (a repeated target
+    would enter X; errors could not say which copy they mean). A file that
+    cannot be opened or decoded as UTF-8, or that the csv module cannot
+    parse, is an ``IngestionError`` too.
     """
     header, rows = None, []
     try:
@@ -127,6 +129,9 @@ def load_csv(path, target_column: str) -> Dataset:
             header = next(reader, None)
             if header is None:
                 raise IngestionError(f"{path}: empty file")
+            repeated = [name for name, count in Counter(header).items() if count > 1]
+            if repeated:
+                raise IngestionError(f"{path}: header repeats column {repeated[0]!r}")
             if target_column not in header:
                 raise IngestionError(f"{path}: missing target column {target_column!r}")
             if len(header) == 1:

@@ -2,15 +2,18 @@
 
 Pipeline, run once and shared by every tested variable:
   1. sample m networks with the fitted architecture from the truncated
-     Glorot distribution, and evaluate each one once for its outputs and
-     its gradient statistics of all d variables;
-  2. form the Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i),
-     optionally shrink it toward its diagonal, and factorize it;
+     Glorot distribution;
+  2. evaluate every network's outputs (a forward pass, no gradient), form
+     the Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i), optionally
+     shrink it toward its diagonal, and factorize it;
   3. repeatedly draw a centered multivariate normal and pick the network at
-     the argmax coordinate; the null samples of variable j are the selected
-     networks' statistics of variable j. The draws are evaluated in blocks,
-     and a draw whose argmax the block product cannot certify is recomputed
-     alone from its row of the block (``_select``).
+     the argmax coordinate. The draws are evaluated in blocks, and a draw
+     whose argmax the block product cannot certify is recomputed alone from
+     its row of the block (``_select``);
+  4. evaluate the gradient statistics of all d variables for the distinct
+     selected networks only; the null samples of variable j are the selected
+     networks' statistics of variable j. A network no draw selects is never
+     differentiated.
 
 Random streams (the determinism contract, tabled in ``seeding``): network k
 comes from stream (0, k) of the seed and normal draw t from stream (1, t).
@@ -34,10 +37,10 @@ from .training import FittedModel
 # selected indices do not depend on it.
 _BLOCK = 256
 
-# Squared gradients per exact_column_sums call in build_null: whole networks,
-# as many as fit in this many float64 elements (at least one), so that the
-# cascade's per-pass call overhead is shared at small n and its buffers stay
-# small at large n. The statistics do not depend on it.
+# Squared gradients per exact_column_sums call in _selected_statistics: whole
+# networks, as many as fit in this many float64 elements (at least one), so
+# that the cascade's per-pass call overhead is shared at small n and its
+# buffers stay small at large n. The statistics do not depend on it.
 _SUM_BLOCK = 2 ** 16
 
 
@@ -71,13 +74,13 @@ class CovMatrix:
 
 @dataclass(eq=False)  # compared by identity: array fields have no single truth value
 class SharedNull:
-    """The null of one run: what steps 1-3 produce for every variable at once."""
+    """The null of one run: what steps 1-4 produce for every variable at once."""
 
-    stats: np.ndarray  # (m, d) statistic of each sampled network
+    stats: np.ndarray  # (m, d) statistic of each selected network; NaN rows for the rest
     idx: np.ndarray  # (n_p,) network selected by each draw
     jitter_used: float
     rechecked_draws: int  # draws the block product could not certify
-    fsum_fallbacks: int  # statistic sums exact_column_sums could not certify
+    fsum_fallbacks: int  # statistic sums (distinct_selected * d) not certified
     timings: dict  # seconds of the stages sample, evaluate, cholesky, select
 
     def samples(self, j: int) -> list:
@@ -110,17 +113,19 @@ class TestResult:
     null: SharedNull  # the same object for every variable of a run
 
 
-def _gram(outputs: np.ndarray) -> CovMatrix:
-    """S = outputs @ outputs.T / n for network outputs of shape (m, n)."""
+def empirical_covariance(nets, X, outputs=None) -> CovMatrix:
+    """Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i).
+
+    The network outputs are written to ``outputs``, an (m, n) array, when
+    one is given, else to a new one."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))  # a 1-D X is one point
+    if outputs is None:
+        outputs = np.empty((len(nets), len(X)))
+    for k, f in enumerate(nets):
+        outputs[k] = forward_batch(f, X)
     s = outputs @ outputs.T / outputs.shape[1]
     s = (s + s.T) / 2.0
     return CovMatrix(entries=s)
-
-
-def empirical_covariance(nets, X) -> CovMatrix:
-    """Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i)."""
-    X = np.asarray(X, dtype=np.float64)
-    return _gram(np.stack([forward_batch(f, X) for f in nets]))  # (m, n)
 
 
 def shrink(cov: CovMatrix, lam: float) -> CovMatrix:
@@ -222,13 +227,16 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
 
 
 def build_null(fitted: FittedModel, X, cfg: NullConfig) -> SharedNull:
-    """Steps 1-3 once: one fused pass per sampled network, one factorization,
-    one set of selections.
+    """Steps 1-4 once: one forward pass per sampled network, one
+    factorization, one set of selections, one gradient pass per distinct
+    selected network.
 
     The statistics come from ``mean_squares``, as the fitted network's do in
     ``all_statistics``, so observed and null samples share one definition.
-    The squared gradients of a block of networks sit side by side in one
-    reusable buffer, summed by one ``exact_column_sums`` call.
+    The squared gradients of a block of selected networks, in ascending
+    order, sit side by side in one reusable buffer, summed by one
+    ``exact_column_sums`` call. The outputs and the covariance are released
+    before the gradient pass, so its buffers take their place.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
@@ -237,31 +245,45 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig) -> SharedNull:
     timings = {}
     # allocated first, so that an m no array can hold is out of memory at once
     outputs = allocate((cfg.m, n), f"m = {cfg.m} networks of n = {n} outputs")
-    stats = np.empty((cfg.m, d))
     with stage(timings, "sample"):
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
     with stage(timings, "evaluate"):
-        per_block = max(1, _SUM_BLOCK // (n * d))
-        squares = np.empty((n, min(per_block, cfg.m) * d))
-        fallbacks = 0
-        for start in range(0, cfg.m, per_block):
-            block = nets[start:start + per_block]
-            for r, f in enumerate(block):
-                outputs[start + r], g = output_and_gradient(f, X)
-                np.multiply(g, g, out=squares[:, r * d:(r + 1) * d])
-            raw, certified = mean_squares(squares[:, :len(block) * d])
-            stats[start:start + len(block)] = raw.reshape(len(block), d)
-            fallbacks += int(np.count_nonzero(~certified))
-        cov = _gram(outputs)
+        cov = empirical_covariance(nets, X, outputs)
+    del outputs
     with stage(timings, "cholesky"):
         if cfg.lambda_shrink > 0.0:
             cov = shrink(cov, cfg.lambda_shrink)
         cov = cholesky_with_jitter(cov)
     with stage(timings, "select"):
         idx, rechecked = _select(cov.chol_factor, cfg.seed, cfg.n_p)
-    return SharedNull(stats=stats, idx=idx, jitter_used=cov.jitter_used,
+    jitter = cov.jitter_used
+    del cov
+    with stage(timings, "evaluate"):
+        selected = np.flatnonzero(np.bincount(idx, minlength=cfg.m))
+        stats, fallbacks = _selected_statistics(nets, X, selected)
+    return SharedNull(stats=stats, idx=idx, jitter_used=jitter,
                       rechecked_draws=rechecked, fsum_fallbacks=fallbacks,
                       timings=timings)
+
+
+def _selected_statistics(nets, X: np.ndarray, selected: np.ndarray) -> tuple[np.ndarray, int]:
+    """The (m, d) statistics of the networks ``selected`` (ascending indices),
+    NaN rows for the others, and the number of their sums ``mean_squares``
+    could not certify."""
+    n, d = X.shape
+    stats = np.full((len(nets), d), np.nan)
+    per_block = max(1, _SUM_BLOCK // (n * d))
+    squares = np.empty((n, min(per_block, len(selected)) * d))
+    fallbacks = 0
+    for start in range(0, len(selected), per_block):
+        block = selected[start:start + per_block]
+        for r, k in enumerate(block):
+            g = output_and_gradient(nets[k], X)[1]
+            np.multiply(g, g, out=squares[:, r * d:(r + 1) * d])
+        raw, certified = mean_squares(squares[:, :len(block) * d])
+        stats[block] = raw.reshape(len(block), d)
+        fallbacks += int(np.count_nonzero(~certified))
+    return stats, fallbacks
 
 
 def _check_variables(variables, d: int) -> None:

@@ -8,7 +8,8 @@ from contextlib import contextmanager
 
 @contextmanager
 def stage(timings: dict, name: str):
-    """Store the seconds the ``with`` block takes in ``timings[name]``."""
+    """Add the seconds the ``with`` block takes to ``timings[name]``, so that
+    a stage run in several parts is timed as their sum."""
     start = time.perf_counter()
     yield
-    timings[name] = time.perf_counter() - start
+    timings[name] = timings.get(name, 0.0) + time.perf_counter() - start

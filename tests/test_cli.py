@@ -627,6 +627,28 @@ class TestConfigErrors:
         cfg["data"] = {"path": str(data)}
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
 
+    def test_bad_csv_leaves_no_output_directory(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("a,b,y\n1,2,3\n4,oops,6\n", encoding="utf-8")
+        (tmp_path / "kept").mkdir()
+        cfg = base_config(tmp_path / "kept" / "out" / "deep")
+        cfg["data"] = {"path": str(data)}
+        cfg["output"]["report"] = "sub/report.json"
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
+        assert "non-numeric cell 'oops' at row 2" in capsys.readouterr().err
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_repeated_target_column_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "twice.csv"
+        data.write_text("x1,y,y\n" + "".join(f"{i},{i % 7},{i % 5}\n" for i in range(200)),
+                        encoding="utf-8")
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"path": str(data)}
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}: header repeats column 'y'" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_target_only_csv_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "y_only.csv"
         data.write_text("y\n" + "".join(f"{i}\n" for i in range(200)), encoding="utf-8")
@@ -786,6 +808,20 @@ class TestDiagnoseCommand:
         assert err.startswith("numerical error: widths [2, 3, 4] diverged")
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failing_study_removes_the_output_directories_it_made(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "old.txt").write_text("kept\n", encoding="utf-8")
+        cfg = {"output": {"dir": str(tmp_path / "out" / "new"),
+                          "approximation_csv": "csv/approximation.csv"},
+               "diagnostics": {"approximation": {
+                   "n": 600, "widths": [2, 3, 4],
+                   "training": {"epochs": 3, "learning_rate": 1e300, "lr_decay": 1.0}}}}
+        with pytest.warns(UserWarning, match="diverged and is excluded"):
+            assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 4
+        assert capsys.readouterr().err.startswith("numerical error: widths [2, 3, 4] diverged")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["old.txt"]
 
 
 def cfg_out(cfg):

@@ -106,6 +106,16 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="target"):
             load_csv(p, "y")
 
+    @pytest.mark.parametrize("header, repeated", [("x1,y,y", "y"), ("x1,x1,y", "x1"),
+                                                   ("y,x1,x2,x1", "x1")])
+    def test_repeated_column_named(self, tmp_path, header, repeated):
+        width = header.count(",") + 1
+        rows = "".join(",".join(str(i + k) for k in range(width)) + "\n" for i in range(4))
+        p = self.write(tmp_path, header + "\n" + rows)
+        with pytest.raises(IngestionError,
+                           match=re.escape(f"{p}: header repeats column {repeated!r}")):
+            load_csv(p, "y")
+
     def test_constant_column_named(self, tmp_path):
         p = self.write(tmp_path, "a,b,y\n1,5,0\n2,5,1\n")
         with pytest.raises(IngestionError, match="'b'"):

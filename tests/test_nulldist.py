@@ -299,16 +299,58 @@ class TestNullDistribution:
         X = np.random.default_rng(41).uniform(-1, 1, (257, 3))
         net = init_glorot((3, 6, 6, 1), activation, 42)
         fitted = FittedModel(net, [], 0.0, second_moment(net, X))
-        # three networks per exact_column_sums call: blocks of 3, 3 and 1
+        # three networks per exact_column_sums call, so at least three calls
         monkeypatch.setattr(nnsig.nulldist, "_SUM_BLOCK", 3 * X.size)
-        cfg = NullConfig(m=7, n_p=20, seed=43)
+        real, blocks = nnsig.nulldist.mean_squares, []
+
+        def counting(squares):
+            blocks.append(squares.shape[1] // X.shape[1])
+            return real(squares)
+
+        monkeypatch.setattr(nnsig.nulldist, "mean_squares", counting)
+        cfg = NullConfig(m=16, n_p=100, seed=43)
         null = build_null(fitted, X, cfg)
+        selected = set(null.idx.tolist())
+        assert 7 <= len(selected) == null.distinct_selected < cfg.m
+        assert len(blocks) >= 3 and sum(blocks) == len(selected) and max(blocks) == 3
         nets = sample_networks(cfg.m, net.layer_dims, activation, cfg.seed)
         for k, f in enumerate(nets):
-            g = input_gradient_batch(f, X)
-            want = [math.fsum(col) / len(X) for col in (g * g).T.tolist()]
-            assert null.stats[k].tolist() == want
+            if k in selected:
+                g = input_gradient_batch(f, X)
+                want = [math.fsum(col) / len(X) for col in (g * g).T.tolist()]
+                assert null.stats[k].tolist() == want
+            else:
+                assert np.isnan(null.stats[k]).all()
         assert null.fsum_fallbacks == 0
+
+    def test_gradients_only_for_selected_networks(self, small_fitted, monkeypatch):
+        fitted, ds = small_fitted
+        real, differentiated = nnsig.nulldist.output_and_gradient, []
+
+        def counting(net, X):
+            differentiated.append(net)
+            return real(net, X)
+
+        monkeypatch.setattr(nnsig.nulldist, "output_and_gradient", counting)
+        cfg = NullConfig(m=30, n_p=40, seed=7)
+        null = build_null(fitted, ds.X, cfg)
+        assert len(differentiated) == null.distinct_selected < cfg.m
+        nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
+        for f, k in zip(differentiated, np.unique(null.idx)):
+            for a, b in zip(f.weights, nets[k].weights):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_samples_equal_per_network_statistics(self, activation):
+        X = np.random.default_rng(44).uniform(-1, 1, (120, 3))
+        net = init_glorot((3, 5, 5, 1), activation, 45)
+        fitted = FittedModel(net, [], 0.0, second_moment(net, X))
+        cfg = NullConfig(m=12, n_p=50, seed=46)
+        null = build_null(fitted, X, cfg)
+        nets = sample_networks(cfg.m, net.layer_dims, activation, cfg.seed)
+        full = [all_statistics(f, X) for f in nets]
+        for j in range(X.shape[1]):
+            assert null.samples(j) == [full[k][j].raw for k in null.idx]
 
     def test_empty_input(self, small_fitted):
         fitted, _ = small_fitted
