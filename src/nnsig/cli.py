@@ -14,10 +14,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .data import Dataset, TargetSpec, generate, load_csv, save_csv, write_csv
@@ -179,6 +182,10 @@ def _pick(section: dict, *names) -> dict:
     return {name: section[name] for name in names if name in section}
 
 
+def _reason(exc: Exception) -> str:
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+
+
 def _out_path(cfg: dict, key: str, suffix: str = "") -> Path:
     """The path of output ``key``, with ``suffix`` appended to its name, under
     ``output.dir``; its directory is created."""
@@ -186,9 +193,15 @@ def _out_path(cfg: dict, key: str, suffix: str = "") -> Path:
     path = Path(out.get("dir", ".")) / (out.get(key, _OUTPUTS[key]) + suffix)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"output.{key}: {path.parent}: {exc.strerror}") from None
-    if path.is_dir():
+    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the name
+        raise ConfigurationError(f"output.{key}: {path.parent}: {_reason(exc)}") from None
+    try:  # a name past the OS limit fails here, not when the output is written
+        is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+    except FileNotFoundError:
+        is_dir = False
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"output.{key}: {path}: {_reason(exc)}") from None
+    if is_dir:
         raise ConfigurationError(f"output.{key}: {path} is a directory")
     return path
 
@@ -341,8 +354,53 @@ def _null_summary(null) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _formatted(values: list) -> list:
+    """The JSON text of each float of ``values``, in order. Each distinct value
+    is formatted once, keyed by its bits, so that -0.0 and 0.0 stay apart: a
+    variable's null samples take one value per selected network."""
+    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.uint64),
+                              return_inverse=True)
+    texts = np.array([json.dumps(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _json_chunks(value, level: int = 0):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` in pieces,
+    indented as a value ``level`` deep. A list of floats is one piece, its
+    values formatted by ``_formatted``."""
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        yield from _object_chunks({key: _json_chunks(item, level + 1)
+                                   for key, item in value.items()}, level)
+    elif isinstance(value, (list, tuple)) and value:
+        inner = "\n" + "  " * (level + 1)
+        yield "[" + inner
+        if all(type(item) is float for item in value):
+            yield ("," + inner).join(_formatted(value))
+        else:
+            for i, item in enumerate(value):
+                if i:
+                    yield "," + inner
+                yield from _json_chunks(item, level + 1)
+        yield "\n" + "  " * level + "]"
+    else:  # a scalar, an empty list or object, or an object with other keys
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def _object_chunks(parts: dict, level: int):
+    """A non-empty JSON object ``level`` deep whose values are the pieces in
+    ``parts``, keyed and laid out as ``json.dumps(indent=2, sort_keys=True)``."""
+    inner = "\n" + "  " * (level + 1)
+    for i, key in enumerate(sorted(parts)):
+        yield ("," if i else "{") + inner + json.dumps(key) + ": "
+        yield from parts[key]
+    yield "\n" + "  " * level + "}"
+
+
+def _write_json(path: Path, chunks) -> None:
+    """Write the JSON text in ``chunks`` piece by piece, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+        fh.write("\n")
 
 
 # Each command takes the checked config and the config echo of _load_config,
@@ -382,7 +440,7 @@ def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
         "model_path": str(model_path),
         "loss_history_path": str(history_path),
     }
-    _write_json(summary_path, summary)
+    _write_json(summary_path, _json_chunks(summary))
     print(f"trained width={fitted.net.hidden_width} final_risk={fitted.final_empirical_risk:.6g}")
     return 0
 
@@ -442,8 +500,6 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
         if test.get("include_null_samples", True):
             entry["null_samples"] = res.null_samples
         results.append(entry)
-        if sidecars:
-            write_csv(sidecars[res.variable_index], ["sample"], zip(res.null_samples))
 
     report = {
         "version": __version__,
@@ -458,10 +514,17 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
         },
         "results": results,
         "null": _null_summary(tested[0].null) if tested else None,
-        "timings": {**timings, **(tested[0].null.timings if tested else {}),
-                    "wall_seconds": time.perf_counter() - t0},
     }
-    _write_json(report_path, report)
+    with stage(timings, "report"):
+        if sidecars:
+            for res in tested:
+                write_csv(sidecars[res.variable_index], ["sample"], zip(res.null_samples))
+        parts = {key: list(_json_chunks(value, 1)) for key, value in report.items()}
+    # the timings are rendered last, so that wall_seconds leaves out only the
+    # write of the rendered text
+    parts["timings"] = _json_chunks({**timings, **(tested[0].null.timings if tested else {}),
+                                     "wall_seconds": time.perf_counter() - t0}, 1)
+    _write_json(report_path, _object_chunks(parts, 0))
     for entry in results:
         print(f"variable {entry['variable_index']}: p={entry['p_value']:.4g}")
     print(f"wrote {report_path}")
@@ -493,7 +556,7 @@ def cmd_diagnose(cfg: dict, echo: dict, built: dict) -> int:
         "diagnostics": out,
         "timings": {"wall_seconds": time.perf_counter() - t0},
     }
-    _write_json(path, payload)
+    _write_json(path, _json_chunks(payload))
     print(f"wrote {path}")
     return 0
 
@@ -528,7 +591,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, echo, _settings(cfg))
     except tuple(_EXITS) as exc:
         for path in missing:  # the directories this run created, if still empty
-            with contextlib.suppress(OSError):
+            with contextlib.suppress(OSError, ValueError):
                 path.rmdir()
         kind, code = next(v for error, v in _EXITS.items() if isinstance(exc, error))
         print(f"{kind}: {exc}", file=sys.stderr)

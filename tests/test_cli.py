@@ -268,8 +268,10 @@ class TestTestCommand:
         assert 0.0 < null["top_share"] <= 1.0
         assert null["rechecked_draws"] >= 0
         assert null["fsum_fallbacks"] == 0
-        stages = ("data", "fit", "sample", "evaluate", "cholesky", "select", "wall_seconds")
+        stages = ("data", "fit", "sample", "evaluate", "cholesky", "select", "report")
+        assert sorted(report["timings"]) == sorted(stages + ("wall_seconds",))
         assert all(report["timings"][s] >= 0.0 for s in stages)
+        assert sum(report["timings"][s] for s in stages) <= report["timings"]["wall_seconds"]
 
     def test_variable_subset_and_sidecar(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -532,6 +534,20 @@ class TestConfigErrors:
         assert err.startswith(f"configuration error: output.{key}: ") and str(bad) in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    # names past the OS limit on a name's length, and names with a NUL character
+    @pytest.mark.parametrize("name", ["r" * 300 + ".json", "a\x00b.json", "sub\x00/r.json"])
+    @pytest.mark.parametrize("command, key", [
+        ("test", "report"), ("test", "model"), ("test", "train_summary"),
+        ("train", "model"), ("train", "train_summary"), ("generate", "dataset")])
+    def test_output_name_the_os_cannot_take(self, tmp_path, capsys, command, key, name):
+        cfg = base_config(tmp_path / "out")
+        cfg["output"][key] = name
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output.{key}: {tmp_path / 'out'}")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_bad_value_type_names_key(self, tmp_path, capsys):
         cases = (("training", "epochs", "x"), ("test", "m", "ten"), ("test", "variables", 5),
