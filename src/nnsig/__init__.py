@@ -28,7 +28,6 @@ from .network import (
     input_gradient_batch,
     linear_network,
     load,
-    output_and_gradient,
     sample_networks,
     save,
     second_moment,

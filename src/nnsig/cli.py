@@ -508,10 +508,6 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
         "config_echo": echo,
         "fitted": _fitted_summary(fitted),
         "training": _training_summary(fitted),
-        "flags": {
-            "sigma_scale": built["null"].sigma_scale,
-            "glorot_truncation": "plus_minus_2_sigma_resample",
-        },
         "results": results,
         "null": _null_summary(tested[0].null) if tested else None,
     }

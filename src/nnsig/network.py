@@ -203,11 +203,10 @@ def forward(net: Network, x) -> float:
     return float(forward_batch(net, x[None, :])[0])
 
 
-def output_and_gradient(net: Network, X):
-    """Outputs (n,) and input gradients (n, d) from one pass over the layers.
+def input_gradient_batch(net: Network, X) -> np.ndarray:
+    """Gradient of the output with respect to the input, per row; shape (n, d).
 
-    The outputs equal ``forward_batch(net, X)`` bit for bit. Gradients use
-    reverse accumulation through the layer recursion; exact for smooth
+    Reverse accumulation through the layer recursion; exact for smooth
     activations, subgradient with psi'(0) = 0 for relu.
     """
     X = _check_input(net, X)
@@ -219,22 +218,14 @@ def output_and_gradient(net: Network, X):
         z += b
         a, dz = pair(z)
         derivs.append(dz)
-    out = a @ net.weights[-1].T
-    out += net.biases[-1]
-    out = out[:, 0]
     # J starts as d out / d a_L, shape (n, width_L)
     j = np.broadcast_to(net.weights[-1][0], (X.shape[0], net.weights[-1].shape[1]))
     if not derivs:  # no hidden layer: purely affine
-        return out, j.copy()
+        return j.copy()
     # each step scales J by psi' in the derivative's own buffer
     for l in range(len(derivs) - 1, -1, -1):
         j = np.multiply(j, derivs[l], out=derivs[l]) @ net.weights[l]
-    return out, j
-
-
-def input_gradient_batch(net: Network, X) -> np.ndarray:
-    """Gradient of the output with respect to the input, per row; shape (n, d)."""
-    return output_and_gradient(net, X)[1]
+    return j
 
 
 def input_gradient(net: Network, x) -> np.ndarray:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, InputError, NumericalError, allocate
-from .network import forward_batch, output_and_gradient, sample_networks
+from .network import forward_batch, sample_networks
 from .seeding import generators
-from .significance import VariableStatistic, all_statistics, mean_squares
+from .significance import VariableStatistic, all_statistics, statistics
 from .timing import stage
 from .training import FittedModel
 
@@ -37,19 +37,13 @@ from .training import FittedModel
 # selected indices do not depend on it.
 _BLOCK = 256
 
-# Squared gradients per exact_column_sums call in _selected_statistics: whole
-# networks, as many as fit in this many float64 elements (at least one), so
-# that the cascade's per-pass call overhead is shared at small n and its
-# buffers stay small at large n. The statistics do not depend on it.
-_SUM_BLOCK = 2 ** 16
-
 
 @dataclass(frozen=True)
 class NullConfig:
     m: int = 200  # number of sampled networks
     n_p: int = 1000  # null replications
     lambda_shrink: float = 0.0
-    # "raw" | "four_sigma2": recorded in reports only. The argmax draw ignores
+    # "raw" | "four_sigma2": echoed in reports only. The argmax draw ignores
     # any positive rescaling of S, so 4*sigma^2*S selects the same networks.
     sigma_scale: str = "raw"
     seed: int = 0
@@ -231,12 +225,11 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig) -> SharedNull:
     factorization, one set of selections, one gradient pass per distinct
     selected network.
 
-    The statistics come from ``mean_squares``, as the fitted network's do in
+    The statistics of the selected networks, in ascending order, come from
+    ``significance.statistics``, as the fitted network's do in
     ``all_statistics``, so observed and null samples share one definition.
-    The squared gradients of a block of selected networks, in ascending
-    order, sit side by side in one reusable buffer, summed by one
-    ``exact_column_sums`` call. The outputs and the covariance are released
-    before the gradient pass, so its buffers take their place.
+    The outputs and the covariance are released before the gradient pass, so
+    its buffers take their place.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
@@ -260,30 +253,11 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig) -> SharedNull:
     del cov
     with stage(timings, "evaluate"):
         selected = np.flatnonzero(np.bincount(idx, minlength=cfg.m))
-        stats, fallbacks = _selected_statistics(nets, X, selected)
+        stats = np.full((cfg.m, d), np.nan)
+        stats[selected], fallbacks = statistics([nets[k] for k in selected], X)
     return SharedNull(stats=stats, idx=idx, jitter_used=jitter,
                       rechecked_draws=rechecked, fsum_fallbacks=fallbacks,
                       timings=timings)
-
-
-def _selected_statistics(nets, X: np.ndarray, selected: np.ndarray) -> tuple[np.ndarray, int]:
-    """The (m, d) statistics of the networks ``selected`` (ascending indices),
-    NaN rows for the others, and the number of their sums ``mean_squares``
-    could not certify."""
-    n, d = X.shape
-    stats = np.full((len(nets), d), np.nan)
-    per_block = max(1, _SUM_BLOCK // (n * d))
-    squares = np.empty((n, min(per_block, len(selected)) * d))
-    fallbacks = 0
-    for start in range(0, len(selected), per_block):
-        block = selected[start:start + per_block]
-        for r, k in enumerate(block):
-            g = output_and_gradient(nets[k], X)[1]
-            np.multiply(g, g, out=squares[:, r * d:(r + 1) * d])
-        raw, certified = mean_squares(squares[:, :len(block) * d])
-        stats[block] = raw.reshape(len(block), d)
-        fallbacks += int(np.count_nonzero(~certified))
-    return stats, fallbacks
 
 
 def _check_variables(variables, d: int) -> None:

@@ -5,6 +5,8 @@ squared j-th input gradient component. Its sum is the exactly rounded one that
 math.fsum defines, so the result is independent of row order at full double
 precision; ``exact_column_sums`` reaches it with a certified vectorized
 cascade and falls back to math.fsum for any column it cannot certify.
+``statistics`` gives it for the fitted network and the null's selected
+networks alike, so observed values and null samples share one definition.
 """
 
 from __future__ import annotations
@@ -95,19 +97,13 @@ def exact_column_sums(q) -> tuple[np.ndarray, np.ndarray]:
     and when the two ends are equal, they are ``fl(T)``, the value
     ``math.fsum`` returns. ``2**-1074`` is added to ``delta`` to cover
     underflow in the product ``4 gamma_n u L X'``, so a column whose sum is
-    zero or subnormal fails this check and is settled as a tie (below), its
-    additions being exact. Columns are considered only when
-    ``X' <= DBL_MAX / 4``, which keeps every partial sum of the cascade and
-    of ``math.fsum`` far from overflow and excludes non-finite columns.
+    zero or subnormal fails this check, and so does one whose ``T`` lies
+    within ``delta`` of a midpoint between two doubles. Columns are
+    considered only when ``X' <= DBL_MAX / 4``, which keeps every partial sum
+    of the cascade and of ``math.fsum`` far from overflow and excludes
+    non-finite columns.
 
-    Ties. The ends differ when ``T`` lies within ``delta`` of a midpoint
-    between two doubles, and an exact midpoint is not rare: at n = 300 the
-    terms' bits may reach only a dozen bits below the last bit of the sum.
-    Such a column's error terms go through the cascade once more; when all of
-    its own error terms are zero, ``sum(e)`` is exactly its result ``s2``,
-    and ``fl(s + s2)`` is ``fl(T)``, ties to even included.
-
-    Every other column is summed by ``math.fsum``, with its
+    Every column that is not certified is summed by ``math.fsum``, with its
     ``OverflowError``, ``ValueError``, ``inf`` and ``nan``.
     """
     q = np.asarray(q, dtype=np.float64)
@@ -123,35 +119,54 @@ def exact_column_sums(q) -> tuple[np.ndarray, np.ndarray]:
         sums = s + (e - delta)
         finite = mass <= sys.float_info.max / 4
         certified = finite & (sums == s + (e + delta))
-        if certified.all():
-            return sums, certified
-        if n > 1:
-            ties = np.flatnonzero(finite & ~certified)
-            s2, errs2 = _two_sum_cascade(errs[:, ties])
-            exact = ~errs2.any(axis=0)
-            sums[ties[exact]] = s[ties[exact]] + s2[exact]
-            certified[ties[exact]] = True
     for j in np.flatnonzero(~certified):
         sums[j] = math.fsum(q[:, j].tolist())
     return sums, certified
 
 
-def mean_squares(squares: np.ndarray) -> tuple:
-    """``(raw, certified)`` of each column of an (n, k) array of squared
-    gradients: raw is the column mean, its sum exactly rounded by
-    ``exact_column_sums``, whose ``certified`` is passed on."""
-    try:
-        sums, certified = exact_column_sums(squares)
-    except OverflowError:  # finite squares whose sum exceeds the float range
-        raise NumericalError("the squared-gradient statistic overflows the float range") from None
-    return sums / len(squares), certified
+# Squared gradients per exact_column_sums call in statistics: whole networks,
+# as many as fit in this many float64 elements (at least one), so that the
+# cascade's per-pass call overhead is shared at small n and its buffers stay
+# small at large n. The statistics do not depend on it.
+_SUM_BLOCK = 2 ** 16
+
+
+def statistics(nets, X) -> tuple[np.ndarray, int]:
+    """The (len(nets), d) statistics of the networks on the rows of X, and
+    the number of their sums ``exact_column_sums`` could not certify.
+
+    Row k, column j is the mean over rows of the squared j-th input gradient
+    component of ``nets[k]``, its sum exactly rounded. The squared gradients
+    of a block of networks sit side by side in one reusable buffer, summed by
+    one ``exact_column_sums`` call. A sum that is not finite, from a gradient
+    or a sum of squares past the float range, raises NumericalError.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))  # a 1-D X is one point
+    if X.size == 0:
+        raise InputError("empty covariate matrix")
+    n, d = len(X), X.shape[-1]
+    stats = np.empty((len(nets), d))
+    per_block = max(1, _SUM_BLOCK // (n * d))
+    squares = np.empty((n, min(per_block, len(nets)) * d))
+    fallbacks = 0
+    for start in range(0, len(nets), per_block):
+        block = nets[start:start + per_block]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by the sums
+            for r, net in enumerate(block):
+                g = input_gradient_batch(net, X)
+                np.multiply(g, g, out=squares[:, r * d:(r + 1) * d])
+        try:
+            sums, certified = exact_column_sums(squares[:, :len(block) * d])
+        except OverflowError:  # finite squares whose sum exceeds the float range
+            sums = None
+        if sums is None or not np.isfinite(sums).all():
+            raise NumericalError("the squared-gradient statistic overflows the float range: "
+                                 "an input gradient or the sum of its squares is not finite")
+        stats[start:start + len(block)] = (sums / n).reshape(len(block), d)
+        fallbacks += int(np.count_nonzero(~certified))
+    return stats, fallbacks
 
 
 def all_statistics(net: Network, X) -> list:
     """One VariableStatistic per input dimension from a single gradient pass."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.size == 0:
-        raise InputError("empty covariate matrix")
-    grads = input_gradient_batch(net, X)
-    raw, _ = mean_squares(grads * grads)
-    return [VariableStatistic(r) for r in raw.tolist()]
+    return [VariableStatistic(r) for r in statistics([net], X)[0][0].tolist()]

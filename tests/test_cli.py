@@ -204,8 +204,7 @@ class TestTestCommand:
             assert 0.0 < r["p_value"] <= 1.0
             assert len(r["null_samples"]) == 50
             assert all(v >= 0.0 for v in r["null_samples"])
-        assert report["flags"]["sigma_scale"] == "raw"
-        assert "normalization_mode" not in report["flags"]
+        assert "flags" not in report
         assert all(r["observed_normalized"] == r["observed_raw"] for r in results)
         assert report["fitted"]["width"] == 5
 
@@ -364,6 +363,26 @@ class TestTestCommand:
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: non-finite weight in layer 1")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_statistic_is_a_numerical_error(self, tmp_path, capsys):
+        # finite weights and outputs, but the input gradient is nan: an
+        # overflowed product meets a hidden unit that is never active. Such a
+        # statistic once got the smallest p-value, 1/(n_p+1)
+        cfg = base_config(tmp_path)
+        cfg["architecture"] = {"width": 2, "activation": "relu"}
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 0
+        net = Network((2, 2, 2, 1),
+                      (np.ones((2, 2)), np.array([[1.0, 1e300], [1.0, 1e300]]), np.full((1, 2), 1e10)),
+                      (np.array([10.0, -10.0]), np.zeros(2), np.zeros(1)), "relu")
+        save_network(net, tmp_path / "model.nnsig")
+        capsys.readouterr()
+        assert main(["test", "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "not finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 

@@ -16,7 +16,6 @@ from nnsig.network import (
     input_gradient_batch,
     linear_network,
     load,
-    output_and_gradient,
     save,
     second_moment,
 )
@@ -45,14 +44,6 @@ class TestActivations:
         special = np.array([0.0, -0.0, np.inf, -np.inf, 1e3, -1e3])
         z = np.concatenate([special, np.random.default_rng(5).normal(0.0, 20.0, 10_000)])
         assert _stable_sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
-
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
-    def test_fused_output_bitwise_equals_forward_batch(self, activation):
-        net = init_glorot((3, 6, 6, 1), activation, 4)
-        X = np.random.default_rng(6).uniform(-1, 1, (50, 3))
-        out, grad = output_and_gradient(net, X)
-        assert out.tobytes() == forward_batch(net, X).tobytes()
-        assert grad.shape == (50, 3)
 
 
 # Reference formulas: the activation pairs and the evaluation loop written
@@ -143,9 +134,8 @@ class TestBitIdenticalToReference:
         for X in (np.ascontiguousarray(z[:, :9]), z[:, ::2]):
             before = X.tobytes()
             with np.errstate(invalid="ignore"):  # inf * 0 in the products
-                out, grad = output_and_gradient(net, X)
+                out, grad = forward_batch(net, X), input_gradient_batch(net, X)
                 ref_out, ref_grad = ref_output_and_gradient(net, X)
-                assert forward_batch(net, X).tobytes() == ref_out.tobytes()
             assert out.tobytes() == ref_out.tobytes()
             assert grad.tobytes() == ref_grad.tobytes()
             assert X.tobytes() == before

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nnsig.data import TargetSpec, generate
 from nnsig.exceptions import ConfigurationError, InputError, NumericalError
 import nnsig.nulldist
+import nnsig.significance
 from nnsig.network import Network, glorot_sigma, init_glorot, input_gradient_batch, second_moment
 from nnsig.nulldist import (
     CovMatrix,
@@ -300,14 +301,14 @@ class TestNullDistribution:
         net = init_glorot((3, 6, 6, 1), activation, 42)
         fitted = FittedModel(net, [], 0.0, second_moment(net, X))
         # three networks per exact_column_sums call, so at least three calls
-        monkeypatch.setattr(nnsig.nulldist, "_SUM_BLOCK", 3 * X.size)
-        real, blocks = nnsig.nulldist.mean_squares, []
+        monkeypatch.setattr(nnsig.significance, "_SUM_BLOCK", 3 * X.size)
+        real, blocks = nnsig.significance.exact_column_sums, []
 
         def counting(squares):
             blocks.append(squares.shape[1] // X.shape[1])
             return real(squares)
 
-        monkeypatch.setattr(nnsig.nulldist, "mean_squares", counting)
+        monkeypatch.setattr(nnsig.significance, "exact_column_sums", counting)
         cfg = NullConfig(m=16, n_p=100, seed=43)
         null = build_null(fitted, X, cfg)
         selected = set(null.idx.tolist())
@@ -325,13 +326,13 @@ class TestNullDistribution:
 
     def test_gradients_only_for_selected_networks(self, small_fitted, monkeypatch):
         fitted, ds = small_fitted
-        real, differentiated = nnsig.nulldist.output_and_gradient, []
+        real, differentiated = nnsig.significance.input_gradient_batch, []
 
         def counting(net, X):
             differentiated.append(net)
             return real(net, X)
 
-        monkeypatch.setattr(nnsig.nulldist, "output_and_gradient", counting)
+        monkeypatch.setattr(nnsig.significance, "input_gradient_batch", counting)
         cfg = NullConfig(m=30, n_p=40, seed=7)
         null = build_null(fitted, ds.X, cfg)
         assert len(differentiated) == null.distinct_selected < cfg.m

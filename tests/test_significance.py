@@ -1,14 +1,24 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nnsig.significance
 from nnsig.exceptions import InputError, NumericalError
-from nnsig.network import init_glorot, input_gradient_batch, linear_network
-from nnsig.significance import all_statistics, exact_column_sums, mean_squares
+from nnsig.network import Network, init_glorot, input_gradient_batch, linear_network, second_moment
+from nnsig.nulldist import NullConfig, significance_tests
+from nnsig.significance import all_statistics, exact_column_sums, statistics
+from nnsig.training import FittedModel
+
+
+def statistics_of_gradients(grads):
+    """``statistics`` of one network whose input gradients are ``grads``."""
+    with mock.patch.object(nnsig.significance, "input_gradient_batch", lambda net, X: grads):
+        return statistics([None], np.zeros(grads.shape))
 
 
 class TestEmpiricalStatistic:
@@ -81,15 +91,34 @@ class TestAllStatistics:
         batch = all_statistics(net, X)
         g = input_gradient_batch(net, X)
         for j in range(3):
-            raw, _ = mean_squares(g[:, [j]] ** 2)
-            assert batch[j].raw == batch[j].normalized == raw[0]
+            sums, _ = exact_column_sums(g[:, [j]] ** 2)
+            assert batch[j].raw == batch[j].normalized == sums[0] / len(X)
 
     def test_mean_squares_are_fsum_means(self):
         grads = np.random.default_rng(8).normal(size=(50, 3)) * [1e-8, 1.0, 1e8]
-        raw, certified = mean_squares(grads * grads)
+        raw, fallbacks = statistics_of_gradients(grads)
         for j in range(3):
-            assert raw[j] == math.fsum(g * g for g in grads[:, j].tolist()) / 50
-        assert certified.all()
+            assert raw[0, j] == math.fsum(g * g for g in grads[:, j].tolist()) / 50
+        assert fallbacks == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("w1, w3", [
+        ([[1.0, 1.0], [-1.0, -1.0]], [[1e200, 1e200]]),  # nan: inf * 0 in the gradient
+        ([[1.0, 1.0], [1.0, 1.0]], [[1e200, -1e200]]),  # inf
+    ])
+    def test_non_finite_statistic_is_a_numerical_error(self, w1, w3):
+        # finite weights, as a model file may hold them
+        net = Network((2, 2, 2, 1), (np.array(w1), np.full((2, 2), 1e200), np.array(w3)),
+                      (np.zeros(2), np.zeros(2), np.zeros(1)), "relu")
+        X = np.random.default_rng(9).uniform(0.1, 1.0, (100, 2))
+        with pytest.raises(NumericalError, match="not finite"):
+            all_statistics(net, X)
+        with np.errstate(over="ignore", invalid="ignore"):  # the outputs overflow too
+            fitted = FittedModel(net, [0.0], 0.0, second_moment(net, X))
+        dataset = mock.Mock(X=X)
+        # the smallest p-value, 1/(n_p + 1), is never given for such a statistic
+        with pytest.raises(NumericalError, match="not finite"):
+            significance_tests(fitted, dataset, [0, 1], NullConfig(m=20, n_p=99, seed=1))
 
     def test_linear_vector(self):
         net = linear_network([2.0, 0.0, 1.0])
@@ -172,18 +201,18 @@ class TestExactColumnSums:
         grads = np.sqrt(np.abs(q)) / 2.0  # squares stay finite where q is
         n = len(grads)
         try:
-            [math.fsum(col) for col in (grads * grads).T.tolist()]
-        except (OverflowError, ValueError) as exc:
-            # a sum past the float range is the statistic's numerical error
-            with pytest.raises(NumericalError if isinstance(exc, OverflowError) else type(exc)):
-                mean_squares(grads * grads)
-            return
+            want = [math.fsum(col) / n for col in (grads * grads).T.tolist()]
+        except OverflowError:
+            want = [math.inf]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            raw_sums, _ = mean_squares(grads * grads)
-        for raw, col in zip(raw_sums.tolist(), (grads * grads).T.tolist()):
-            want = math.fsum(col) / n
-            assert raw == want or math.isnan(raw) and math.isnan(want)
+            if not all(map(math.isfinite, want)):
+                # a sum past the float range, inf or nan is the statistic's numerical error
+                with pytest.raises(NumericalError):
+                    statistics_of_gradients(grads)
+                return
+            raw, _ = statistics_of_gradients(grads)
+        assert raw[0].tolist() == want
 
     def test_midpoint_falls_back(self):
         # s + E rounds to 1.0, but the sum lies above the midpoint 1 + 2**-53
@@ -193,8 +222,8 @@ class TestExactColumnSums:
         assert not certified[0]
 
     def test_exact_midpoint_rounds_to_even(self):
-        # the sum is the midpoint itself, and its error terms sum exactly
+        # the sum is the midpoint itself, summed by math.fsum
         q = np.array([[1.0, 1.0], [2.0 ** -53, 3 * 2.0 ** -53]])
         got, certified = exact_column_sums(q)
         assert got.tolist() == [1.0, 1.0 + 2.0 ** -51] == [math.fsum(c) for c in q.T]
-        assert certified.all()
+        assert not certified.any()
