@@ -206,6 +206,33 @@ def _out_path(cfg: dict, key: str, suffix: str = "") -> Path:
     return path
 
 
+def _check_clashes(cfg: dict, writes, others=()) -> None:
+    """Exit 2 naming ``output.<key>`` if a file that a command writes is the
+    same file, once resolved, as ``data.path``, as one of ``others`` (the files
+    it reads, or has already checked) or as another it writes. ``writes`` and
+    ``others`` are (output key, path) pairs."""
+    taken = {}
+    # a data.path that cannot be resolved is named by the data read
+    with contextlib.suppress(KeyError, OSError, ValueError, RuntimeError):
+        taken[Path(cfg["data"]["path"]).resolve()] = "data.path"
+    for key, path in others:
+        taken.setdefault(path.resolve(), f"output.{key}")
+    for key, path in writes:
+        other = taken.setdefault(path.resolve(), f"output.{key}")
+        if other != f"output.{key}":
+            raise ConfigurationError(f"output.{key}: {path} is the same file as {other}")
+
+
+def _out_paths(cfg: dict, *keys: str, reads=()) -> list:
+    """The paths of outputs ``keys``, which the command writes, then of
+    outputs ``reads``, which it reads, as ``_out_path`` gives them, checked by
+    ``_check_clashes``."""
+    writes = [(key, _out_path(cfg, key)) for key in keys]
+    others = [(key, _out_path(cfg, key)) for key in reads]
+    _check_clashes(cfg, writes, others)
+    return [path for _, path in writes + others]
+
+
 def _missing_dirs(cfg: dict) -> list:
     """The directories above any output path of ``cfg`` that do not exist
     yet, deepest first: those ``_out_path`` may create."""
@@ -285,39 +312,53 @@ def _dataset_from_config(cfg: dict, target: TargetSpec | None) -> Dataset:
     return generate(target, data["generator"]["n"], data["generator"]["d"], cfg["seed"])
 
 
-def _fingerprint(cfg: dict, built: dict) -> dict:
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _fingerprint(cfg: dict, built: dict, dataset: Dataset) -> dict:
     """What a model fitted under this config is fitted to, one entry per
-    dotted key: the data source (the CSV's sha256 and target column, or the
+    dotted key: the architecture at this data's size (activation and layer
+    dims), the data source (the CSV's sha256 and target column, or the
     generator section and the master seed), then every ``TrainConfig`` field.
-    Its values are as JSON reads them back, so that a saved one compares equal."""
-    data = cfg["data"]
+    ``nnsig train`` adds ``output.model``, the sha256 of the model file it
+    wrote. Its values are as JSON reads them back, so that a saved one
+    compares equal."""
+    arch, data = built["arch"], cfg["data"]
+    dims = _build(arch.layer_dims, "architecture", {"d": dataset.d, "n": dataset.n})
     if "path" in data:
-        source = {"csv_sha256": hashlib.sha256(Path(data["path"]).read_bytes()).hexdigest(),
+        source = {"csv_sha256": _sha256(data["path"]),
                   "target_column": data.get("target_column", "y")}
     else:
         source = {"generator": data["generator"], "seed": cfg["seed"]}
     training = dataclasses.asdict(built["train"])
-    return json.loads(json.dumps({"data": source,
+    return json.loads(json.dumps({"architecture": f"{arch.activation} {dims}", "data": source,
                                   **{f"training.{k}": v for k, v in training.items()}}))
 
 
-def _check_fingerprint(cfg: dict, built: dict, model_path: Path, summary_path: Path) -> None:
+# How _check_fingerprint words a key that differs, where it does not quote both values.
+_MISMATCH = {"data": "was fitted to other data",
+             "output.model": "is not the file nnsig train wrote"}
+
+
+def _check_fingerprint(cfg: dict, built: dict, dataset: Dataset, model_path: Path,
+                       summary_path: Path) -> None:
     """Exit 2 unless the train summary beside the model holds this config's
-    fingerprint; the error names the first key that differs."""
+    fingerprint and the sha256 of this model file: the one rule for reusing
+    a model. The error names the first key that differs."""
     try:
         saved = json.loads(summary_path.read_text(encoding="utf-8")).get("fingerprint")
     except (OSError, ValueError, AttributeError):
         saved = None
-    if not isinstance(saved, dict):
+    if not isinstance(saved, dict) or "output.model" not in saved:
         raise ConfigurationError(
             f"output.train_summary: {summary_path} holds no fingerprint of what {model_path} "
             "was fitted to; run nnsig train with this config, or remove the model")
-    for key, value in _fingerprint(cfg, built).items():
+    for key, value in {**_fingerprint(cfg, built, dataset),
+                       "output.model": _sha256(model_path)}.items():
         if saved.get(key) != value:
-            raise ConfigurationError(
-                f"{key}: {model_path} was fitted to other data" if key == "data" else
-                f"{key}: {model_path} was fitted with {saved.get(key)!r}, "
-                f"the config asks for {value!r}")
+            raise ConfigurationError(f"{key}: {model_path} " + _MISMATCH.get(
+                key, f"was fitted with {saved.get(key)!r}, the config asks for {value!r}"))
 
 
 def _fitted_summary(fitted) -> dict:
@@ -405,12 +446,13 @@ def _write_json(path: Path, chunks) -> None:
 
 # Each command takes the checked config and the config echo of _load_config,
 # and the objects _settings built from the config. It resolves every path it
-# writes before it reads data, fits or runs a study.
+# writes, and checks it against the files it reads, before it reads data, fits
+# or runs a study.
 
 def cmd_generate(cfg: dict, echo: dict, built: dict) -> int:
     if built["target"] is None:
         raise ConfigurationError("generate needs a data.generator section")
-    path = _out_path(cfg, "dataset")
+    (path,) = _out_paths(cfg, "dataset")
     dataset = _dataset_from_config(cfg, built["target"])
     save_csv(dataset, path)
     print(f"wrote {dataset.n} rows, {dataset.d} covariates to {path}")
@@ -422,12 +464,13 @@ def _fit(built: dict, dataset: Dataset):
 
 
 def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
-    model_path, history_path, summary_path = (
-        _out_path(cfg, key) for key in ("model", "loss_history", "train_summary"))
+    model_path, history_path, summary_path = _out_paths(cfg, "model", "loss_history",
+                                                        "train_summary")
     dataset = _dataset_from_config(cfg, built["target"])
-    fingerprint = _fingerprint(cfg, built)  # of the data as it was read, before the fit
+    fingerprint = _fingerprint(cfg, built, dataset)  # of the data as it was read, before the fit
     fitted = _fit(built, dataset)
     save_network(fitted.net, model_path)
+    fingerprint["output.model"] = _sha256(model_path)
     write_csv(history_path, ["epoch", "loss"], enumerate(fitted.train_loss_history))
 
     summary = {
@@ -448,8 +491,8 @@ def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
 def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
     test = cfg.get("test", {})
-    report_path, model_path, summary_path = (
-        _out_path(cfg, key) for key in ("report", "model", "train_summary"))
+    report_path, model_path, summary_path = _out_paths(cfg, "report",
+                                                       reads=("model", "train_summary"))
     timings = {}
     with stage(timings, "data"):
         dataset = _dataset_from_config(cfg, built["target"])
@@ -459,21 +502,14 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
             raise ConfigurationError(f"test.variables: index {j} out of range for d={dataset.d}")
     sidecars = {j: _out_path(cfg, "null_samples_csv_prefix", f"_var{j}.csv")
                 for j in variables} if test.get("null_samples_csv") else {}
+    _check_clashes(cfg, [("null_samples_csv_prefix", path) for path in sidecars.values()],
+                   [("report", report_path), ("model", model_path),
+                    ("train_summary", summary_path)])
 
     with stage(timings, "fit"):
         if model_path.is_file():
             net = load_network(model_path)
-            if net.input_dim != dataset.d:
-                raise InputError(
-                    f"model expects dimension {net.input_dim}, data has {dataset.d}"
-                )
-            dims = _build(built["arch"].layer_dims, "architecture",
-                          {"d": dataset.d, "n": dataset.n})
-            if (net.activation, net.layer_dims) != (built["arch"].activation, dims):
-                raise ConfigurationError(f"architecture: {model_path} holds a {net.activation} "
-                                         f"{net.layer_dims} network, the config asks for "
-                                         f"{built['arch'].activation} {dims}")
-            _check_fingerprint(cfg, built, model_path, summary_path)
+            _check_fingerprint(cfg, built, dataset, model_path, summary_path)
             try:
                 risk = quadratic_loss(net, dataset.X, dataset.y)
             except NumericalError as exc:
@@ -530,8 +566,8 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
 def cmd_diagnose(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
     studies = built["studies"]
-    csv_paths = {name: _out_path(cfg, name + "_csv") for name in studies}
-    path = _out_path(cfg, "diagnostics_report")
+    *csvs, path = _out_paths(cfg, *(name + "_csv" for name in studies), "diagnostics_report")
+    csv_paths = dict(zip(studies, csvs))
     reports = {name: _build(_STUDIES[name][0], "diagnostics." + name, fields)
                for name, fields in studies.items()}
     out = {}

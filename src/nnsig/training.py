@@ -89,12 +89,17 @@ def quadratic_loss(net: Network, X, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if len(X) != len(y) or len(y) == 0:
         raise InputError(f"X has {len(X)} rows but y has {len(y)} entries")
-    r = y - forward_batch(net, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
+        r = y - forward_batch(net, X)
+        squares = (r * r).tolist()
     try:
-        return 0.5 * math.fsum((r * r).tolist()) / len(y)
+        loss = 0.5 * math.fsum(squares) / len(y)
     except OverflowError:  # finite squares whose sum exceeds the float range
-        raise NumericalError("the quadratic loss overflows: the squared residuals "
-                             "sum beyond the float range") from None
+        loss = math.inf
+    if not math.isfinite(loss):
+        raise NumericalError("the quadratic loss is not finite: the network's outputs or "
+                             "their squared residuals overflow the float range")
+    return loss
 
 
 def width_schedule(n: int, c: float = 1.0) -> int:
@@ -190,11 +195,12 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
 
             net = Network(dims, tuple(w.copy() for w in weights), tuple(b.copy() for b in biases),
                           arch_spec.activation)
-            loss = quadratic_loss(net, X, y)
-            if not np.isfinite(loss):
+            try:
+                loss = quadratic_loss(net, X, y)
+            except NumericalError:
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, learning rate {lr:.6g}"
-                )
+                ) from None
             history.append(loss)
             if best is None or loss < best[0]:
                 best = (loss, epoch, net)

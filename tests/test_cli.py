@@ -5,6 +5,7 @@ in-process, asserting on exit codes and on the files the commands produce.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,8 @@ from nnsig import cli
 from nnsig.cli import main
 from nnsig.data import TargetSpec, generate, load_csv
 from nnsig.exceptions import ConfigurationError
-from nnsig.network import MAGIC, Network, linear_network, load as load_network, save as save_network
+from nnsig.network import (MAGIC, Network, init_glorot, linear_network, load as load_network,
+                           save as save_network)
 from nnsig.training import quadratic_loss, width_schedule
 
 
@@ -49,6 +51,17 @@ def base_config(out_dir, n=300, d=2, beta=(1.0, 0.0), noise=0.1, seed=11):
         "training": {"epochs": 40, "batch_size": 50, "learning_rate": 0.5},
         "test": {"m": 20, "n_p": 50},
     }
+
+
+def reseal(out_dir, net):
+    """Save ``net`` over the model that nnsig train wrote to ``out_dir``, and
+    give the train summary's fingerprint the sha256 of the new file, so that
+    nnsig test reuses it."""
+    model, summary = out_dir / "model.nnsig", out_dir / "train_summary.json"
+    save_network(net, model)
+    saved = json.loads(summary.read_text(encoding="utf-8"))
+    saved["fingerprint"]["output.model"] = hashlib.sha256(model.read_bytes()).hexdigest()
+    summary.write_text(json.dumps(saved), encoding="utf-8")
 
 
 # CSV cells: mostly numbers, with the edges of what float() and the rescaling take
@@ -347,7 +360,7 @@ class TestTestCommand:
         cfg["architecture"] = {"depth": 1, "width": 4, "activation": "relu"}
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", path]) == 0  # the summary fingerprints the config
-        save_network(linear_network([1.3e154, 0.0], 0.0), tmp_path / "model.nnsig")
+        reseal(tmp_path, linear_network([1.3e154, 0.0], 0.0))
         assert main(["test", "--config", path]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -378,7 +391,7 @@ class TestTestCommand:
         net = Network((2, 2, 2, 1),
                       (np.ones((2, 2)), np.array([[1.0, 1e300], [1.0, 1e300]]), np.full((1, 2), 1e10)),
                       (np.array([10.0, -10.0]), np.zeros(2), np.zeros(1)), "relu")
-        save_network(net, tmp_path / "model.nnsig")
+        reseal(tmp_path, net)
         capsys.readouterr()
         assert main(["test", "--config", path]) == 4
         err = capsys.readouterr().err
@@ -395,6 +408,37 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: architecture: {tmp_path / 'model.nnsig'} ")
         assert "sigmoid (2, 5, 5, 1)" in err and "relu (2, 12, 12, 12, 1)" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_replaced_model_is_not_reused(self, tmp_path, capsys):
+        # a network of the architecture the config asks for, but not the one
+        # nnsig train fitted; it was once reused
+        path = write_config(tmp_path, base_config(tmp_path))
+        assert main(["train", "--config", path]) == 0
+        save_network(init_glorot((2, 5, 5, 1), "sigmoid", 1), tmp_path / "model.nnsig")
+        capsys.readouterr()
+        assert main(["test", "--config", path]) == 2
+        assert capsys.readouterr().err == (f"configuration error: output.model: "
+                                           f"{tmp_path / 'model.nnsig'} is not the file nnsig "
+                                           "train wrote\n")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reused_model_with_non_finite_loss_is_a_numerical_error(self, tmp_path, capsys):
+        # outputs 2e308 * tanh(1e3 x1) overflow: the loss once read inf, the
+        # statistics 0, and every variable got p = 1
+        cfg = base_config(tmp_path)
+        cfg["architecture"] = {"depth": 1, "width": 2, "activation": "tanh"}
+        path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", path]) == 0
+        reseal(tmp_path, Network((2, 2, 1), (np.array([[1e3, 0.0], [1e3, 0.0]]),
+                                             np.full((1, 2), 1e308)),
+                                 (np.zeros(2), np.zeros(1)), "tanh"))
+        capsys.readouterr()
+        assert main(["test", "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: model {tmp_path / 'model.nnsig'}: "
+                              "the quadratic loss is not finite")
         assert not (tmp_path / "report.json").exists()
 
     def test_model_fitted_to_other_data_is_not_reused(self, tmp_path, capsys):
@@ -439,14 +483,20 @@ class TestTestCommand:
         assert main(["test", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("configuration error: data: ")
 
+    # "older": a fingerprint without output.model, as nnsig train wrote it
+    # before the fingerprint covered the model file
     @pytest.mark.parametrize("summary", [None, "{not json", "[]", '{"fingerprint": 3}',
-                                         '{"version": "0"}'])
+                                         '{"version": "0"}', "older"])
     def test_model_without_fingerprint_is_not_reused(self, tmp_path, capsys, summary):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", path]) == 0
         if summary is None:
             (tmp_path / "train_summary.json").unlink()
+        elif summary == "older":
+            saved = json.loads((tmp_path / "train_summary.json").read_text(encoding="utf-8"))
+            del saved["fingerprint"]["output.model"]
+            (tmp_path / "train_summary.json").write_text(json.dumps(saved), encoding="utf-8")
         else:
             (tmp_path / "train_summary.json").write_text(summary, encoding="utf-8")
         capsys.readouterr()
@@ -479,18 +529,19 @@ class TestTestCommand:
         cfg["architecture"] = {"depth": 1, "width": 1, "activation": "tanh"}
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", path]) == 0  # the summary fingerprints the config
-        save_network(net, tmp_path / "model.nnsig")
+        reseal(tmp_path, net)
         assert main(["test", "--config", path]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical error: the squared-gradient statistic overflows")
         assert not (tmp_path / "report.json").exists()
 
-    def test_model_dimension_mismatch(self, tmp_path):
+    def test_model_dimension_mismatch(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         path = write_config(tmp_path, cfg)
         assert main(["train", "--config", path]) == 0
         cfg3 = base_config(tmp_path, d=3, beta=(1.0, 0.0, 0.0))
-        assert main(["test", "--config", write_config(tmp_path, cfg3, "c3.json")]) == 3
+        assert main(["test", "--config", write_config(tmp_path, cfg3, "c3.json")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: architecture: ")
 
 
 class TestConfigErrors:
@@ -553,6 +604,38 @@ class TestConfigErrors:
         assert err.startswith(f"configuration error: output.{key}: ") and str(bad) in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    # case: the command, the output entries that make a path it writes the
+    # same file as another, the output key named and the file it would overwrite
+    @pytest.mark.parametrize("command, output, key, other", [
+        ("test", {"dir": "out", "report": "dataset.csv"}, "report", "data.path"),
+        ("train", {"train_summary": "model.nnsig"}, "train_summary", "output.model"),
+        ("test", {"report": "r_var0.csv", "null_samples_csv_prefix": "r"},
+         "null_samples_csv_prefix", "output.report")])
+    def test_output_that_is_another_file_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                                 output, key, other):
+        def no_work(*args):
+            raise AssertionError("work started before the output paths were checked")
+
+        monkeypatch.setattr(cli, "_fit", no_work)
+        if key != "null_samples_csv_prefix":  # the sidecars need d, so the data first
+            monkeypatch.setattr(cli, "load_csv", no_work)
+        data = tmp_path / "out" / "dataset.csv"
+        data.parent.mkdir()
+        data.write_text("x1,x2,y\n" + "".join(f"{i / 9},{1 - i / 9},{i % 2}\n" for i in range(10)),
+                        encoding="utf-8")
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"path": str(data)}
+        cfg["output"].update({name: str(tmp_path / value) if name == "dir" else value
+                              for name, value in output.items()})
+        cfg["test"].update(variables=[0], null_samples_csv=True)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output.{key}: ")
+        assert err.endswith(f" is the same file as {other}\n")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "config.json", "out", "out/dataset.csv"]
+        assert data.read_text(encoding="utf-8").startswith("x1,x2,y\n")
 
     # names past the OS limit on a name's length, and names with a NUL character
     @pytest.mark.parametrize("name", ["r" * 300 + ".json", "a\x00b.json", "sub\x00/r.json"])

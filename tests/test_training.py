@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from nnsig.data import Dataset, TargetSpec, generate
-from nnsig.exceptions import ConfigurationError, DivergenceError, InputError
+from nnsig.exceptions import ConfigurationError, DivergenceError, InputError, NumericalError
 from nnsig import training
 from nnsig.network import _ACTIVATIONS, Network, forward_batch, init_glorot, save
 from nnsig.training import (
@@ -50,6 +50,17 @@ class TestQuadraticLoss:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             quadratic_loss(zero_net(1), np.zeros((3, 1)), np.zeros(2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_loss_is_a_numerical_error(self):
+        # outputs 2e308 * tanh(1e3 x1) overflow at |x1| >= 0.5; such a loss once
+        # read inf, its statistics 0, and a reused model got p = 1 for every variable
+        net = Network((2, 2, 1), (np.array([[1e3, 0.0], [1e3, 0.0]]), np.full((1, 2), 1e308)),
+                      (np.zeros(2), np.zeros(1)), "tanh")
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0.5, 1.0, (200, 2)) * rng.choice([-1.0, 1.0], (200, 2))
+        with pytest.raises(NumericalError, match="the quadratic loss is not finite"):
+            quadratic_loss(net, X, rng.normal(size=200))
 
 
 class TestWidthSchedule:
