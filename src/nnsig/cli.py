@@ -186,64 +186,51 @@ def _reason(exc: Exception) -> str:
     return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
 
 
-def _out_path(cfg: dict, key: str, suffix: str = "") -> Path:
-    """The path of output ``key``, with ``suffix`` appended to its name, under
-    ``output.dir``; its directory is created."""
-    out = cfg["output"]
-    path = Path(out.get("dir", ".")) / (out.get(key, _OUTPUTS[key]) + suffix)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the name
-        raise ConfigurationError(f"output.{key}: {path.parent}: {_reason(exc)}") from None
-    try:  # a name past the OS limit fails here, not when the output is written
-        is_dir = stat.S_ISDIR(os.stat(path).st_mode)
-    except FileNotFoundError:
-        is_dir = False
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"output.{key}: {path}: {_reason(exc)}") from None
-    if is_dir:
-        raise ConfigurationError(f"output.{key}: {path} is a directory")
-    return path
+class _Outputs:
+    """The files a command writes and reads under ``output.dir``. ``path``
+    resolves, checks and claims each one; ``undo`` removes the directories
+    that ``path`` created, if they are still empty."""
 
+    def __init__(self, cfg: dict):
+        self._out = cfg["output"]
+        self._made = []  # the directories path created, parents first
+        self._claimed = {}  # resolved file -> (its name, whether it is read, its path)
+        # a data.path that cannot be resolved is named by the data read
+        with contextlib.suppress(KeyError, OSError, ValueError, RuntimeError):
+            path = Path(cfg["data"]["path"])
+            self._claimed[path.resolve()] = ("data.path", True, path)
 
-def _check_clashes(cfg: dict, writes, others=()) -> None:
-    """Exit 2 naming ``output.<key>`` if a file that a command writes is the
-    same file, once resolved, as ``data.path``, as one of ``others`` (the files
-    it reads, or has already checked) or as another it writes. ``writes`` and
-    ``others`` are (output key, path) pairs."""
-    taken = {}
-    # a data.path that cannot be resolved is named by the data read
-    with contextlib.suppress(KeyError, OSError, ValueError, RuntimeError):
-        taken[Path(cfg["data"]["path"]).resolve()] = "data.path"
-    for key, path in others:
-        taken.setdefault(path.resolve(), f"output.{key}")
-    for key, path in writes:
-        other = taken.setdefault(path.resolve(), f"output.{key}")
-        if other != f"output.{key}":
-            raise ConfigurationError(f"output.{key}: {path} is the same file as {other}")
+    def path(self, key: str, suffix: str = "", read: bool = False) -> Path:
+        """The path of output ``key``, with ``suffix`` appended to its name;
+        its directory is created. Exit 2 naming ``output.<key>`` if the path
+        cannot be used, or if it is, once resolved, the same file as another
+        that the command claims and one of the two is written: ``read`` is
+        for a file the command reads, and ``data.path`` is read."""
+        name = f"output.{key}"
+        path = Path(self._out.get("dir", ".")) / (self._out.get(key, _OUTPUTS[key]) + suffix)
+        self._made += [parent for parent in reversed(path.parents) if not os.path.exists(parent)]
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL character in the name
+            raise ConfigurationError(f"{name}: {path.parent}: {_reason(exc)}") from None
+        try:  # a name past the OS limit fails here, not when the output is written
+            if stat.S_ISDIR(os.stat(path).st_mode):
+                raise ConfigurationError(f"{name}: {path} is a directory")
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"{name}: {path}: {_reason(exc)}") from None
+        other, other_read, other_path = self._claimed.setdefault(path.resolve(),
+                                                                 (name, read, path))
+        if other != name and not (read and other_read):
+            written, at, other = (other, other_path, name) if read else (name, path, other)
+            raise ConfigurationError(f"{written}: {at} is the same file as {other}")
+        return path
 
-
-def _out_paths(cfg: dict, *keys: str, reads=()) -> list:
-    """The paths of outputs ``keys``, which the command writes, then of
-    outputs ``reads``, which it reads, as ``_out_path`` gives them, checked by
-    ``_check_clashes``."""
-    writes = [(key, _out_path(cfg, key)) for key in keys]
-    others = [(key, _out_path(cfg, key)) for key in reads]
-    _check_clashes(cfg, writes, others)
-    return [path for _, path in writes + others]
-
-
-def _missing_dirs(cfg: dict) -> list:
-    """The directories above any output path of ``cfg`` that do not exist
-    yet, deepest first: those ``_out_path`` may create."""
-    out = cfg["output"]
-    missing = set()
-    for key, name in _OUTPUTS.items():
-        parent = (Path(out.get("dir", ".")) / out.get(key, name)).parent
-        while not os.path.exists(parent) and parent != parent.parent:
-            missing.add(parent)
-            parent = parent.parent
-    return sorted(missing, key=lambda p: len(p.parts), reverse=True)
+    def undo(self) -> None:
+        for made in reversed(self._made):
+            with contextlib.suppress(OSError, ValueError):
+                made.rmdir()
 
 
 def _target_spec(gen: dict, key: str) -> TargetSpec:
@@ -300,6 +287,7 @@ def _settings(cfg: dict) -> dict:
         "null": _build(NullConfig, "test", {
             "seed": seed, **_pick(test, "m", "n_p", "lambda_shrink", "sigma_scale", "seed")}),
         "studies": studies,
+        "outputs": _Outputs(cfg),
     }
 
 
@@ -309,7 +297,9 @@ def _dataset_from_config(cfg: dict, target: TargetSpec | None) -> Dataset:
         raise ConfigurationError("data: exactly one of path and generator must be set")
     if "path" in data:
         return load_csv(data["path"], data.get("target_column", "y"))
-    return generate(target, data["generator"]["n"], data["generator"]["d"], cfg["seed"])
+    gen = data["generator"]
+    return _build(generate, "data.generator",
+                  {"spec": target, "n": gen["n"], "d": gen["d"], "seed": cfg["seed"]})
 
 
 def _sha256(path) -> str:
@@ -445,14 +435,14 @@ def _write_json(path: Path, chunks) -> None:
 
 
 # Each command takes the checked config and the config echo of _load_config,
-# and the objects _settings built from the config. It resolves every path it
-# writes, and checks it against the files it reads, before it reads data, fits
-# or runs a study.
+# and the objects _settings built from the config. It takes the path of every
+# file it writes or reads from built["outputs"] before it reads data, fits or
+# runs a study; test's sidecars, whose names need the data, follow the data read.
 
 def cmd_generate(cfg: dict, echo: dict, built: dict) -> int:
     if built["target"] is None:
         raise ConfigurationError("generate needs a data.generator section")
-    (path,) = _out_paths(cfg, "dataset")
+    path = built["outputs"].path("dataset")
     dataset = _dataset_from_config(cfg, built["target"])
     save_csv(dataset, path)
     print(f"wrote {dataset.n} rows, {dataset.d} covariates to {path}")
@@ -460,12 +450,16 @@ def cmd_generate(cfg: dict, echo: dict, built: dict) -> int:
 
 
 def _fit(built: dict, dataset: Dataset):
+    """The network fitted to ``dataset``; the checks of the config against the
+    data's size name their key."""
+    _build(built["arch"].layer_dims, "architecture", {"d": dataset.d, "n": dataset.n})
+    _build(built["train"].check_rows, "training.batch_size", {"n": dataset.n})
     return fit_least_squares(dataset, built["arch"], built["train"])
 
 
 def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
-    model_path, history_path, summary_path = _out_paths(cfg, "model", "loss_history",
-                                                        "train_summary")
+    model_path, history_path, summary_path = map(
+        built["outputs"].path, ("model", "loss_history", "train_summary"))
     dataset = _dataset_from_config(cfg, built["target"])
     fingerprint = _fingerprint(cfg, built, dataset)  # of the data as it was read, before the fit
     fitted = _fit(built, dataset)
@@ -491,8 +485,10 @@ def cmd_train(cfg: dict, echo: dict, built: dict) -> int:
 def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
     test = cfg.get("test", {})
-    report_path, model_path, summary_path = _out_paths(cfg, "report",
-                                                       reads=("model", "train_summary"))
+    outputs = built["outputs"]
+    report_path = outputs.path("report")  # first: an unusable output.dir names the report
+    model_path = outputs.path("model", read=True)
+    summary_path = outputs.path("train_summary", read=True)
     timings = {}
     with stage(timings, "data"):
         dataset = _dataset_from_config(cfg, built["target"])
@@ -500,11 +496,8 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
     for j in variables:
         if not (0 <= j < dataset.d):
             raise ConfigurationError(f"test.variables: index {j} out of range for d={dataset.d}")
-    sidecars = {j: _out_path(cfg, "null_samples_csv_prefix", f"_var{j}.csv")
+    sidecars = {j: outputs.path("null_samples_csv_prefix", f"_var{j}.csv")
                 for j in variables} if test.get("null_samples_csv") else {}
-    _check_clashes(cfg, [("null_samples_csv_prefix", path) for path in sidecars.values()],
-                   [("report", report_path), ("model", model_path),
-                    ("train_summary", summary_path)])
 
     with stage(timings, "fit"):
         if model_path.is_file():
@@ -566,8 +559,8 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
 def cmd_diagnose(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
     studies = built["studies"]
-    *csvs, path = _out_paths(cfg, *(name + "_csv" for name in studies), "diagnostics_report")
-    csv_paths = dict(zip(studies, csvs))
+    csv_paths = {name: built["outputs"].path(name + "_csv") for name in studies}
+    path = built["outputs"].path("diagnostics_report")
     reports = {name: _build(_STUDIES[name][0], "diagnostics." + name, fields)
                for name, fields in studies.items()}
     out = {}
@@ -616,15 +609,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
-    missing = []
+    built = {}
     try:
         cfg, echo = _load_config(args.config, args.seed, args.out)
-        missing = _missing_dirs(cfg)
-        return _COMMANDS[args.command](cfg, echo, _settings(cfg))
+        built = _settings(cfg)
+        return _COMMANDS[args.command](cfg, echo, built)
     except tuple(_EXITS) as exc:
-        for path in missing:  # the directories this run created, if still empty
-            with contextlib.suppress(OSError, ValueError):
-                path.rmdir()
+        if built:
+            built["outputs"].undo()
         kind, code = next(v for error, v in _EXITS.items() if isinstance(exc, error))
         print(f"{kind}: {exc}", file=sys.stderr)
         return code

@@ -101,14 +101,19 @@ def uniform_cube(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def generate(spec: TargetSpec, n: int, d: int, seed: int) -> Dataset:
-    """Draw X uniform on [-1,1]^d and y = f(X) + truncated normal noise."""
+    """Draw X uniform on [-1,1]^d and y = f(X) + truncated normal noise; a
+    response that is not finite is a configuration error."""
     if n < 1 or d < 1:
         raise ConfigurationError("n and d must be positive")
     rng = generator(seed)
     X = uniform_cube(rng, n, d)
-    f = spec.evaluate(X)
     sigma = spec.noise_sigma
-    y = f + truncated_normal(rng, n, sigma, 4 * sigma) if sigma > 0 else f
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite response is raised below
+        f = spec.evaluate(X)
+        y = f + truncated_normal(rng, n, sigma, 4 * sigma) if sigma > 0 else f
+    if not np.isfinite(y).all():
+        raise ConfigurationError("the generated responses are not finite: the target or "
+                                 "its noise overflows the float range")
     return Dataset(X, y)
 
 

@@ -50,6 +50,11 @@ class TrainConfig:
         if self.early_stop_window < 1:
             raise ConfigurationError("early_stop_window must be positive")
 
+    def check_rows(self, n: int) -> None:
+        """A batch is drawn from ``n`` rows, so it cannot hold more."""
+        if self.batch_size > n:
+            raise ConfigurationError(f"batch_size {self.batch_size} exceeds sample size {n}")
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -158,8 +163,7 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
     n, d = X.shape
-    if cfg.batch_size > n:
-        raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds sample size {n}")
+    cfg.check_rows(n)
 
     dims = arch_spec.layer_dims(d, n)
     net0 = init_glorot(dims, arch_spec.activation, cfg.seed, 0)

@@ -151,6 +151,18 @@ class TestGenerateCommand:
             assert f"dead_index {bad}" in err and "d=3" in err
             assert not (tmp_path / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("generator", [
+        {"kind": "linear", "beta": [1.0, 0.0], "noise_sigma": float("inf")},
+        {"kind": "smooth_sin", "frequency": [1e308, 0.0]}])
+    def test_non_finite_responses_are_a_configuration_error(self, tmp_path, capsys, generator):
+        cfg = base_config(tmp_path)
+        cfg["data"]["generator"] = {**generator, "n": 30, "d": 2}
+        for command in ("generate", "train", "test"):
+            assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "configuration error: data.generator: the generated responses are not finite")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestTrainCommand:
     def test_outputs_and_consistent_risk(self, tmp_path):
@@ -611,7 +623,12 @@ class TestConfigErrors:
         ("test", {"dir": "out", "report": "dataset.csv"}, "report", "data.path"),
         ("train", {"train_summary": "model.nnsig"}, "train_summary", "output.model"),
         ("test", {"report": "r_var0.csv", "null_samples_csv_prefix": "r"},
-         "null_samples_csv_prefix", "output.report")])
+         "null_samples_csv_prefix", "output.report"),
+        ("test", {"report": "model.nnsig"}, "report", "output.model"),
+        ("test", {"train_summary": "t_var0.csv", "null_samples_csv_prefix": "t"},
+         "null_samples_csv_prefix", "output.train_summary"),
+        ("diagnose", {"complexity_csv": "c.csv", "diagnostics_report": "c.csv"},
+         "diagnostics_report", "output.complexity_csv")])
     def test_output_that_is_another_file_exits_2(self, tmp_path, capsys, monkeypatch, command,
                                                  output, key, other):
         def no_work(*args):
@@ -629,6 +646,8 @@ class TestConfigErrors:
         cfg["output"].update({name: str(tmp_path / value) if name == "dir" else value
                               for name, value in output.items()})
         cfg["test"].update(variables=[0], null_samples_csv=True)
+        cfg["diagnostics"] = {"complexity": {"width": 2, "n_list": [10, 20, 40], "n_eps": 2,
+                                             "n_class": 2}}
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: output.{key}: ")
@@ -636,6 +655,52 @@ class TestConfigErrors:
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "config.json", "out", "out/dataset.csv"]
         assert data.read_text(encoding="utf-8").startswith("x1,x2,y\n")
+
+    # Each output file of a command sits in its own subdirectories under an
+    # output.dir of which the first ``existing`` levels exist. A command that
+    # fails after resolving its paths (a beta of the wrong length, a batch
+    # larger than the data, a study's n_list below 1) leaves the tree as it
+    # was; one that succeeds adds the directories of its own files only.
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["generate", "train", "test", "diagnose"]),
+           depth=st.integers(0, 3), existing=st.integers(0, 3),
+           subdirs=st.fixed_dictionaries({key: st.lists(st.sampled_from(["a", "b"]), max_size=2)
+                                          for key in cli._OUTPUTS}),
+           fail=st.booleans())
+    def test_output_directories_are_made_and_undone(self, command, depth, existing, subdirs,
+                                                   fail):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            out_dir = root.joinpath(*(f"d{level}" for level in range(depth)))
+            root.joinpath(*(f"d{level}" for level in range(min(existing, depth)))).mkdir(
+                parents=True, exist_ok=True)
+            cfg = base_config(out_dir, n=40, beta=(1.0,) if fail and command == "generate"
+                              else (1.0, 0.0))
+            cfg["output"].update({key: "/".join([*subs, name]) for key, subs in subdirs.items()
+                                  for name in [cli._OUTPUTS[key]]})
+            cfg["training"] = {"epochs": 2, "batch_size": 64 if fail else 10}
+            cfg["test"] = {"m": 4, "n_p": 5, "variables": [0], "null_samples_csv": True}
+            cfg["diagnostics"] = {"complexity": {"width": 2, "n_list": [0 if fail else 10, 20, 40],
+                                                 "n_eps": 2, "n_class": 2}}
+            config = root / "config.json"
+            config.write_text(json.dumps(cfg), encoding="utf-8")
+            before = set(root.rglob("*"))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--config", str(config)])
+            assert code == (2 if fail else 0)
+            after = set(root.rglob("*"))
+            if fail:
+                assert after == before
+            else:
+                keys = {"generate": ["dataset"],
+                        "train": ["model", "loss_history", "train_summary"],
+                        "test": ["report", "model", "train_summary", "null_samples_csv_prefix"],
+                        "diagnose": ["complexity_csv", "diagnostics_report"]}[command]
+                own = {parent for key in keys
+                       for parent in (out_dir / cfg["output"].get(key, cli._OUTPUTS[key])).parents
+                       if root in parent.parents}
+                assert {p for p in after if p.is_dir()} == {p for p in before if p.is_dir()} | own
 
     # names past the OS limit on a name's length, and names with a NUL character
     @pytest.mark.parametrize("name", ["r" * 300 + ".json", "a\x00b.json", "sub\x00/r.json"])
@@ -649,6 +714,29 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: output.{key}: {tmp_path / 'out'}")
         assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    # the checks of the config against the data: the generator's rows, its
+    # target's dimension and the rows a batch and the automatic width need
+    @pytest.mark.parametrize("command, section, value, key", [
+        ("generate", "generator", {"n": 0}, "data.generator"),
+        ("generate", "generator", {"beta": [1.0, 0.0, 1.0]}, "data.generator"),
+        ("generate", "generator", {"kind": "smooth_sin", "frequency": [1.0]}, "data.generator"),
+        ("generate", "generator", {"kind": "null_variable", "dead_index": 2,
+                                   "base": {"kind": "linear", "beta": [1.0, 0.0]}},
+         "data.generator"),
+        ("train", "training", {"batch_size": 64}, "training.batch_size"),
+        ("test", "training", {"batch_size": 64}, "training.batch_size"),
+        ("test", "generator", {"n": 1}, "architecture")])
+    def test_checks_after_the_data_read_name_their_key(self, tmp_path, capsys, command, section,
+                                                       value, key):
+        cfg = base_config(tmp_path, n=30)
+        cfg["architecture"] = {"width": "auto"}
+        cfg["training"]["batch_size"] = 1
+        (cfg["data"]["generator"] if section == "generator" else cfg[section]).update(value)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_bad_value_type_names_key(self, tmp_path, capsys):
@@ -794,10 +882,14 @@ class TestConfigErrors:
 
     # One key of a config whose every section is small gets a bounded value,
     # never an object: a section replaced by {} would run the approximation
-    # study's defaults (n = 4000, 5000 epochs).
+    # study's defaults (n = 4000, 5000 epochs). A configuration error names a
+    # dotted key or a prefix of one, whichever command finds it. An infinite
+    # learning rate makes the approximation study drop its widths with a warning.
+    @pytest.mark.filterwarnings("ignore:width .* diverged and is excluded:UserWarning")
     @settings(max_examples=300, deadline=None)
     @given(path=st.sampled_from(sorted(table_paths(cli._KEYS))),
-           value=st.integers(-3, 12) | st.sampled_from([-0.5, 0.0, 0.5, 2.5, 1e-12])
+           value=st.integers(-3, 12)
+           | st.sampled_from([-0.5, 0.0, 0.5, 2.5, 1e-12, 1e308, float("inf")])
            | st.sampled_from([None, True, "", "a", "auto", "rate", "relu", "smooth_sin",
                               "null_variable"])
            | st.lists(st.integers(-3, 12), max_size=4))
@@ -814,6 +906,7 @@ class TestConfigErrors:
         for name in path[:-1]:
             section = section.setdefault(name, {})
         section[path[-1]] = value
+        keys = set(table_paths(cli._KEYS))
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)  # a fuzzed output.dir or data.path is relative to it
@@ -826,6 +919,9 @@ class TestConfigErrors:
                         code = main([command, "--config", config])
                     assert code in (0, 2, 3, 4), (command, err.getvalue())
                     assert "Traceback" not in err.getvalue()
+                    if code == 2:
+                        head = err.getvalue().partition(": ")[2].partition(": ")[0]
+                        assert tuple(head.split(".")) in keys, (command, err.getvalue())
             finally:
                 os.chdir(cwd)
 

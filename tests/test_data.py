@@ -48,6 +48,17 @@ class TestGenerate:
         with pytest.raises(ConfigurationError):
             generate(spec, 10, 3, seed=0)
 
+    # an infinite noise scale, and a frequency whose sine argument overflows to
+    # nan; numpy's overflow and invalid-value warnings are not raised either
+    @pytest.mark.parametrize("spec", [
+        TargetSpec(kind="linear", beta=(1.0, 0.0), noise_sigma=float("inf")),
+        TargetSpec(kind="smooth_sin", frequency=(1e308, 0.0))])
+    def test_non_finite_responses_are_refused(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="responses are not finite"):
+                generate(spec, 30, 2, seed=0)
+
     def test_null_variable_requires_parts(self):
         with pytest.raises(ConfigurationError):
             TargetSpec(kind="null_variable")
