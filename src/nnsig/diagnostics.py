@@ -57,9 +57,13 @@ def _evaluate(fn, X: np.ndarray) -> np.ndarray:
     return np.asarray(fn(X), dtype=np.float64)
 
 
-def _check_class(n_eps: int, n_class: int) -> None:
+def _check_class(n_eps: int, n_class: int, n: int) -> None:
+    """Both sizes at least 1, and room for the (n_eps, n) signs that
+    ``_rademacher`` draws: tried before the class is sampled, so that an n_eps
+    no array can hold is out of memory at once, naming n_eps."""
     if n_eps < 1 or n_class < 1:
         raise ConfigurationError("n_eps and n_class must be at least 1")
+    allocate((n_eps, n), f"n_eps = {n_eps} Rademacher draws of n = {n} signs")
 
 
 def _rademacher(outputs: np.ndarray, n_eps: int, seed: int) -> RademacherEstimate:
@@ -77,8 +81,8 @@ def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
                         seed: int) -> RademacherEstimate:
     """Mean over n_eps Rademacher draws of max over n_class sampled functions
     of |(1/n) sum_i eps_i f(X_i)|; a lower bound on the class supremum."""
-    _check_class(n_eps, n_class)
     X = np.asarray(X, dtype=np.float64)
+    _check_class(n_eps, n_class, len(X))
     fns = class_sampler(n_class, seed)
     return _rademacher(np.stack([_evaluate(f, X) for f in fns]), n_eps, seed)
 
@@ -129,7 +133,7 @@ def complexity_scaling_experiment(layer_dims, n_list, seed: int,
         raise ConfigurationError("n_list must be strictly increasing with >= 3 entries")
     if n_list[0] < 1:
         raise ConfigurationError(f"n_list sample sizes must be at least 1, got {n_list[0]}")
-    _check_class(n_eps, n_class)
+    _check_class(n_eps, n_class, n_list[-1])
     # allocated first, so that an n_class no array can hold is out of memory at
     # once; the outputs at each n are its first n_class * n elements
     block = allocate((n_class, n_list[-1]), f"n_class = {n_class} networks of "

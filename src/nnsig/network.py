@@ -39,29 +39,24 @@ def _stable_sigmoid(z):
     return np.divide(t, d, out=d)
 
 
-def _relu_pair(z):
-    # derivative at 0 fixed to 0
-    return np.maximum(z, 0.0), np.greater(z, 0.0).astype(np.float64)
-
-
-def _tanh_pair(z):
-    t = np.tanh(z)
+def _tanh_derivative(t):
     dt = np.square(t)
-    return t, np.subtract(1.0, dt, out=dt)
+    return np.subtract(1.0, dt, out=dt)
 
 
-def _sigmoid_pair(z):
-    s = _stable_sigmoid(z)
+def _sigmoid_derivative(s):
     ds = 1.0 - s
     ds *= s
-    return s, ds
+    return ds
 
 
-# activation name -> (function, (value, derivative) pair)
+# activation name -> (function, derivative); the derivative takes the
+# activation's value a = psi(z), not z. Relu's is a > 0, which holds exactly
+# where z > 0, so its derivative at 0 is 0.
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), _relu_pair),
-    "tanh": (np.tanh, _tanh_pair),
-    "sigmoid": (_stable_sigmoid, _sigmoid_pair),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: np.greater(a, 0.0).astype(np.float64)),
+    "tanh": (np.tanh, _tanh_derivative),
+    "sigmoid": (_stable_sigmoid, _sigmoid_derivative),
 }
 
 
@@ -181,15 +176,23 @@ def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def forward_batch(net: Network, X) -> np.ndarray:
-    """Evaluate the network on each row of X; returns shape (n,)."""
-    X = _check_input(net, X)
-    psi = _ACTIVATIONS[net.activation][0]
+def hidden_layers(weights, biases, activation: str, X):
+    """Each hidden layer's activation psi(a @ w.T + b) in turn, from a = X
+    through every layer but the affine last one."""
+    psi = _ACTIVATIONS[activation][0]
     a = X
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+    for w, b in zip(weights[:-1], biases[:-1]):
         z = a @ w.T
         z += b
         a = psi(z)
+        yield a
+
+
+def forward_batch(net: Network, X) -> np.ndarray:
+    """Evaluate the network on each row of X; returns shape (n,)."""
+    a = X = _check_input(net, X)
+    for a in hidden_layers(net.weights, net.biases, net.activation, X):
+        pass
     out = a @ net.weights[-1].T
     out += net.biases[-1]
     return out[:, 0]
@@ -210,21 +213,15 @@ def input_gradient_batch(net: Network, X) -> np.ndarray:
     activations, subgradient with psi'(0) = 0 for relu.
     """
     X = _check_input(net, X)
-    pair = _ACTIVATIONS[net.activation][1]
-    a = X
-    derivs = []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w.T
-        z += b
-        a, dz = pair(z)
-        derivs.append(dz)
+    derivative = _ACTIVATIONS[net.activation][1]
+    derivs = [derivative(a) for a in hidden_layers(net.weights, net.biases, net.activation, X)]
     # J starts as d out / d a_L, shape (n, width_L)
     j = np.broadcast_to(net.weights[-1][0], (X.shape[0], net.weights[-1].shape[1]))
     if not derivs:  # no hidden layer: purely affine
         return j.copy()
     # each step scales J by psi' in the derivative's own buffer
-    for l in range(len(derivs) - 1, -1, -1):
-        j = np.multiply(j, derivs[l], out=derivs[l]) @ net.weights[l]
+    for dz, w in zip(reversed(derivs), reversed(net.weights[:-1])):
+        j = np.multiply(j, dz, out=dz) @ w
     return j
 
 

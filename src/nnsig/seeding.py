@@ -15,7 +15,9 @@ Spawn keys in use (this table is the determinism contract):
     (0, k)   sampled network k (network.sample_networks), in the null and in
              a Rademacher class
     (1, t)   null draw t (nulldist._select)
-    (1,)     diagnostics.estimate_rademacher: the Rademacher signs
+    (1,)     the Rademacher signs (diagnostics._rademacher): once in
+             diagnostics.estimate_rademacher, and once per sample size in
+             diagnostics.complexity_scaling_experiment
     (2, i)   diagnostics.complexity_scaling_experiment: the covariates of
              sample size i
 

@@ -20,6 +20,7 @@ from .network import (
     _ACTIVATIONS,
     _architecture,
     forward_batch,
+    hidden_layers,
     init_glorot,
     second_moment,
 )
@@ -115,25 +116,16 @@ def width_schedule(n: int, c: float = 1.0) -> int:
     return max(2, math.ceil(c * n ** 0.25))
 
 
-def _batch_gradients(weights, biases, pair, xb, yb):
-    """Backprop for the mean 0.5*(y - f)^2 over one batch; ``pair(z)`` returns
-    the activation and its derivative.
+def _batch_gradients(weights, biases, activation: str, xb, yb):
+    """Backprop for the mean 0.5*(y - f)^2 over one batch.
 
     Returns (grads_w, grads_b, sq_norm) with the squared global gradient norm.
     """
-    acts = [xb]
-    derivs = []
-    a = xb
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = a @ w.T
-        z += b
-        a, dz = pair(z)
-        derivs.append(dz)
-        acts.append(a)
-    out = a @ weights[-1].T
+    acts = [xb, *hidden_layers(weights, biases, activation, xb)]
+    derivative = _ACTIVATIONS[activation][1]
+    out = acts[-1] @ weights[-1].T
     out += biases[-1]
-    out = out[:, 0]
-    e = (out - yb) / len(yb)
+    e = (out[:, 0] - yb) / len(yb)
 
     grads_w = [None] * len(weights)
     grads_b = [None] * len(weights)
@@ -141,7 +133,7 @@ def _batch_gradients(weights, biases, pair, xb, yb):
     grads_b[-1] = np.array([e.sum()])
     delta = np.outer(e, weights[-1][0])
     for l in range(len(weights) - 2, -1, -1):
-        delta *= derivs[l]
+        delta *= derivative(acts[l + 1])
         grads_w[l] = delta.T @ acts[l]
         grads_b[l] = delta.sum(axis=0)
         if l > 0:
@@ -169,7 +161,6 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
     net0 = init_glorot(dims, arch_spec.activation, cfg.seed, 0)
     weights = [w.copy() for w in net0.weights]
     biases = [b.copy() for b in net0.biases]
-    pair = _ACTIVATIONS[arch_spec.activation][1]
 
     rng = generator(cfg.seed, 1)
     lr = cfg.learning_rate
@@ -183,7 +174,8 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                gw, gb, sq = _batch_gradients(weights, biases, pair, X[idx], y[idx])
+                gw, gb, sq = _batch_gradients(weights, biases, arch_spec.activation,
+                                              X[idx], y[idx])
                 if not np.isfinite(sq):
                     raise DivergenceError(
                         f"non-finite gradient at epoch {epoch}, learning rate {lr:.6g}"

@@ -971,21 +971,36 @@ class TestDiagnoseCommand:
             assert "diagnostics.complexity: n_list" in err and "Traceback" not in err
             assert not (tmp_path / "complexity.csv").exists()
 
-    @pytest.mark.parametrize("n_class", [10 ** 15, 2 ** 62])
-    def test_class_too_large_for_memory_is_exit_4(self, tmp_path, capsys, monkeypatch, n_class):
-        # its outputs are allocated before any network is sampled; numpy
-        # refuses both sizes at once: 2**62 past the index range, 10**15
-        # networks of 40 outputs past any address space
+    @staticmethod
+    def too_large_for_memory(tmp_path, capsys, monkeypatch, n_eps, n_class):
+        """The message of a complexity study that exits 4, out of memory,
+        before any network is sampled and with no file written."""
         def no_sampling(*args):
             raise AssertionError("networks sampled before the outputs were allocated")
 
         monkeypatch.setattr(nnsig.diagnostics, "sample_networks", no_sampling)
         cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {"complexity": {
-            "width": 2, "n_list": [10, 20, 40], "n_eps": 2, "n_class": n_class}}}
+            "width": 2, "n_list": [10, 20, 40], "n_eps": n_eps, "n_class": n_class}}}
         assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("out of memory: ") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        return err
+
+    @pytest.mark.parametrize("n_class", [10 ** 15, 2 ** 62])
+    def test_class_too_large_for_memory_is_exit_4(self, tmp_path, capsys, monkeypatch, n_class):
+        # its outputs are allocated before any network is sampled; numpy
+        # refuses both sizes at once: 2**62 past the index range, 10**15
+        # networks of 40 outputs past any address space
+        self.too_large_for_memory(tmp_path, capsys, monkeypatch, 2, n_class)
+
+    @pytest.mark.parametrize("n_eps", [2 ** 62, 1e308])
+    def test_signs_too_large_for_memory_is_exit_4(self, tmp_path, capsys, monkeypatch, n_eps):
+        # room for the (n_eps, n) Rademacher signs is tried before the class
+        # is sampled: 2**62 draws of 40 signs are past numpy's index range,
+        # and 1e308 past a C long
+        err = self.too_large_for_memory(tmp_path, capsys, monkeypatch, n_eps, 2)
+        assert err.startswith(f"out of memory: n_eps = {int(n_eps)} Rademacher draws")
 
     @pytest.mark.parametrize("n_eps, n_class", [(0, 3), (2, 0), (2, -5)])
     def test_complexity_class_sizes_below_one(self, tmp_path, capsys, n_eps, n_class):

@@ -48,6 +48,14 @@ class TestEstimateRademacher:
         est = estimate_rademacher(lambda c, s: [constant_fn(1.0)], X, 3000, 1, seed=3)
         assert abs(est.value - math.sqrt(2 / (math.pi * n))) <= 3 * est.std_error
 
+    @pytest.mark.parametrize("n_eps", [2 ** 62, int(1e308)], ids=["2**62", "1e308"])
+    def test_signs_no_array_holds_before_sampling(self, n_eps):
+        def no_sampling(count, seed):
+            raise AssertionError("class sampled before the signs were tried")
+
+        with pytest.raises(MemoryError, match=f"^n_eps = {n_eps} Rademacher draws of n = 30"):
+            estimate_rademacher(no_sampling, np.zeros((30, 2)), n_eps, 2, seed=1)
+
     def test_quadruple_n_halves_estimate(self):
         sampler = lambda count, seed: sample_networks(count, (3, 6, 6, 1), "sigmoid", seed)
         rng = np.random.default_rng(4)

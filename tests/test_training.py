@@ -18,6 +18,7 @@ from nnsig.training import (
     quadratic_loss,
     width_schedule,
 )
+from test_network import REF_PAIRS, ref_sigmoid
 
 
 def zero_net(d):
@@ -76,7 +77,7 @@ class TestWidthSchedule:
 
 
 class TestBatchGradientOracle:
-    def test_one_step_matches_symbolic_chain_rule(self):
+    def test_one_step_matches_symbolic_chain_rule(self, monkeypatch):
         # 1 hidden unit, 1 sample: compare against sympy derivatives
         w1v, b1v, w2v, b2v, xv, yv = 0.6, -0.2, 1.3, 0.4, 0.5, 1.1
         w1s, b1s, w2s, b2s, xs, ys = sympy.symbols("w1 b1 w2 b2 x y")
@@ -89,24 +90,14 @@ class TestBatchGradientOracle:
 
         weights = [np.array([[w1v]]), np.array([[w2v]])]
         biases = [np.array([b1v]), np.array([b2v])]
-        pair = lambda z: (np.tanh(z), 1.0 - np.tanh(z) ** 2)
-        gw, gb, _ = _batch_gradients(weights, biases, pair,
+        # the derivative of tanh written from its value t = tanh(z)
+        monkeypatch.setitem(_ACTIVATIONS, "tanh", (np.tanh, lambda t: 1.0 - t ** 2))
+        gw, gb, _ = _batch_gradients(weights, biases, "tanh",
                                      np.array([[xv]]), np.array([yv]))
         assert gw[0][0, 0] == pytest.approx(expected[w1s], abs=1e-10)
         assert gb[0][0] == pytest.approx(expected[b1s], abs=1e-10)
         assert gw[1][0, 0] == pytest.approx(expected[w2s], abs=1e-10)
         assert gb[1][0] == pytest.approx(expected[b2s], abs=1e-10)
-
-
-def ref_sigmoid(z):
-    ez = np.exp(-np.abs(z))
-    d = 1.0 + ez
-    return np.where(z >= 0, 1.0 / d, ez / d)
-
-
-def ref_sigmoid_pair(z):
-    s = ref_sigmoid(z)
-    return s, s * (1.0 - s)
 
 
 def ref_forward_batch(net, X):
@@ -142,6 +133,18 @@ def ref_batch_gradients(weights, biases, pair, xb, yb):
     for gw, gb in zip(grads_w, grads_b):
         sq += float((gw * gw).sum()) + float((gb * gb).sum())
     return grads_w, grads_b, sq
+
+
+def ref_table_gradients(weights, biases, activation, xb, yb):
+    """``ref_batch_gradients`` with the function and the derivative of the
+    value that the activation table holds for ``activation``."""
+    psi, derivative = _ACTIVATIONS[activation]
+
+    def pair(z):
+        a = psi(z)
+        return a, derivative(a)
+
+    return ref_batch_gradients(weights, biases, pair, xb, yb)
 
 
 def pinned_fit():
@@ -180,24 +183,25 @@ PINNED_HISTORY = {
 
 
 class TestBitIdenticalToReference:
-    def test_batch_gradients(self):
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_batch_gradients(self, activation):
         rng = np.random.default_rng(3)
-        net = init_glorot((4, 9, 9, 9, 1), "sigmoid", 3)
+        net = init_glorot((4, 9, 9, 9, 1), activation, 3)
         weights = [w * 3.0 for w in net.weights]
         biases = [rng.normal(0.0, 1.0, b.shape) for b in net.biases]
         xb = rng.uniform(-1, 1, (64, 4))
         yb = rng.normal(0.0, 1.0, 64)
-        got = _batch_gradients(weights, biases, _ACTIVATIONS["sigmoid"][1], xb, yb)
-        want = ref_batch_gradients(weights, biases, ref_sigmoid_pair, xb, yb)
+        got = _batch_gradients(weights, biases, activation, xb, yb)
+        want = ref_batch_gradients(weights, biases, REF_PAIRS[activation], xb, yb)
         for g, r in zip(got[0] + got[1], want[0] + want[1]):
             assert g.tobytes() == r.tobytes()
         assert got[2] == want[2]
 
     def test_fit_matches_reference_formulas(self, monkeypatch):
         fitted = pinned_fit()
-        monkeypatch.setattr(training, "_batch_gradients", ref_batch_gradients)
+        monkeypatch.setattr(training, "_batch_gradients", ref_table_gradients)
         monkeypatch.setattr(training, "forward_batch", ref_forward_batch)
-        monkeypatch.setitem(_ACTIVATIONS, "sigmoid", (ref_sigmoid, ref_sigmoid_pair))
+        monkeypatch.setitem(_ACTIVATIONS, "sigmoid", (ref_sigmoid, lambda s: s * (1.0 - s)))
         ref = pinned_fit()
         assert history_sha256(fitted) == history_sha256(ref)
         for w, r in zip(fitted.net.weights + fitted.net.biases, ref.net.weights + ref.net.biases):
