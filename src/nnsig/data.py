@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, IngestionError, InputError
+from .exceptions import ConfigurationError, IngestionError, InputError, no_array
 from .seeding import generator, truncated_normal
 
 
@@ -97,7 +97,7 @@ def uniform_cube(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     try:
         return rng.uniform(-1.0, 1.0, (n, d))
     except ValueError:  # numpy's "array is too big": n * d * 8 bytes overflow
-        raise MemoryError(f"n = {n} rows of d = {d} covariates fit in no array") from None
+        raise no_array("n = {} rows of d = {} covariates", (n, d)) from None
 
 
 def generate(spec: TargetSpec, n: int, d: int, seed: int) -> Dataset:

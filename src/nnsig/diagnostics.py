@@ -63,7 +63,7 @@ def _check_class(n_eps: int, n_class: int, n: int) -> None:
     no array can hold is out of memory at once, naming n_eps."""
     if n_eps < 1 or n_class < 1:
         raise ConfigurationError("n_eps and n_class must be at least 1")
-    allocate((n_eps, n), f"n_eps = {n_eps} Rademacher draws of n = {n} signs")
+    allocate((n_eps, n), "n_eps = {} Rademacher draws of n = {} signs")
 
 
 def _rademacher(outputs: np.ndarray, n_eps: int, seed: int) -> RademacherEstimate:
@@ -136,8 +136,8 @@ def complexity_scaling_experiment(layer_dims, n_list, seed: int,
     _check_class(n_eps, n_class, n_list[-1])
     # allocated first, so that an n_class no array can hold is out of memory at
     # once; the outputs at each n are its first n_class * n elements
-    block = allocate((n_class, n_list[-1]), f"n_class = {n_class} networks of "
-                                            f"n = {n_list[-1]} outputs").reshape(-1)
+    block = allocate((n_class, n_list[-1]),
+                     "n_class = {} networks of n = {} outputs").reshape(-1)
     nets = sample_networks(n_class, layer_dims, activation, seed)
     estimates = []
     for n, rng in zip(n_list, generators(seed, 2, 0, len(n_list))):

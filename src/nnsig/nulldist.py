@@ -190,7 +190,7 @@ def _select(chol: np.ndarray, seed: int, n_p: int) -> tuple[np.ndarray, int]:
     unit = 2.0 ** -53
     gamma = m * unit / (1.0 - m * unit)
     margin = 8.0 * gamma * float(np.linalg.norm(chol, axis=1).max())
-    idx = allocate(n_p, f"n_p = {n_p} draws", np.intp)
+    idx = allocate(n_p, "n_p = {} draws", np.intp)
     buffers = np.empty((2, min(_BLOCK, n_p), m))  # the second is touched only from block 1
     rechecked = 0
     draws = generators(seed, 1, 0, n_p)
@@ -237,7 +237,7 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig) -> SharedNull:
     n, d = X.shape
     timings = {}
     # allocated first, so that an m no array can hold is out of memory at once
-    outputs = allocate((cfg.m, n), f"m = {cfg.m} networks of n = {n} outputs")
+    outputs = allocate((cfg.m, n), "m = {} networks of n = {} outputs")
     with stage(timings, "sample"):
         nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
     with stage(timings, "evaluate"):

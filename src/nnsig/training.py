@@ -116,10 +116,31 @@ def width_schedule(n: int, c: float = 1.0) -> int:
     return max(2, math.ceil(c * n ** 0.25))
 
 
-def _batch_gradients(weights, biases, activation: str, xb, yb):
-    """Backprop for the mean 0.5*(y - f)^2 over one batch.
+class _FlatLayers:
+    """Every layer's weights and biases in one float64 vector, laid out w0,
+    b0, w1, b1, ... as in the model file; ``weights[l]`` and ``biases[l]``
+    are views of ``vector``."""
 
-    Returns (grads_w, grads_b, sq_norm) with the squared global gradient norm.
+    def __init__(self, dims: tuple, vector=None):
+        shapes = [shape for n_in, n_out in zip(dims, dims[1:])
+                  for shape in ((n_out, n_in), (n_out,))]
+        sizes = [math.prod(shape) for shape in shapes]
+        self.vector = np.empty(sum(sizes)) if vector is None else vector
+        arrays, end = [], 0
+        for shape, size in zip(shapes, sizes):
+            arrays.append(self.vector[end:end + size].reshape(shape))
+            end += size
+        self.weights = tuple(arrays[0::2])
+        self.biases = tuple(arrays[1::2])
+
+
+def _batch_gradients(weights, biases, activation: str, xb, yb,
+                     grads: _FlatLayers, squares: _FlatLayers) -> float:
+    """Backprop for the mean 0.5*(y - f)^2 over one batch, written into
+    ``grads``; returns the squared global gradient norm.
+
+    The norm squares ``grads.vector`` into ``squares.vector`` in one pass and
+    sums each layer as ``sq += (sum w^2 + sum b^2)``, in layer order.
     """
     acts = [xb, *hidden_layers(weights, biases, activation, xb)]
     derivative = _ACTIVATIONS[activation][1]
@@ -127,22 +148,22 @@ def _batch_gradients(weights, biases, activation: str, xb, yb):
     out += biases[-1]
     e = (out[:, 0] - yb) / len(yb)
 
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    grads_w[-1] = (e @ acts[-1])[None, :]
-    grads_b[-1] = np.array([e.sum()])
-    delta = np.outer(e, weights[-1][0])
+    gw, gb = grads.weights, grads.biases
+    np.matmul(e, acts[-1], out=gw[-1][0])
+    np.add.reduce(e, axis=0, keepdims=True, out=gb[-1])
+    delta = e[:, None] * weights[-1][0]
     for l in range(len(weights) - 2, -1, -1):
         delta *= derivative(acts[l + 1])
-        grads_w[l] = delta.T @ acts[l]
-        grads_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[l], out=gw[l])
+        np.add.reduce(delta, axis=0, out=gb[l])
         if l > 0:
             delta = delta @ weights[l]
 
+    np.multiply(grads.vector, grads.vector, out=squares.vector)
     sq = 0.0
-    for gw, gb in zip(grads_w, grads_b):
-        sq += float((gw * gw).sum()) + float((gb * gb).sum())
-    return grads_w, grads_b, sq
+    for sw, sb in zip(squares.weights, squares.biases):
+        sq += float(np.add.reduce(sw, axis=None)) + float(np.add.reduce(sb, axis=None))
+    return sq
 
 
 def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedModel:
@@ -158,9 +179,13 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
     cfg.check_rows(n)
 
     dims = arch_spec.layer_dims(d, n)
-    net0 = init_glorot(dims, arch_spec.activation, cfg.seed, 0)
-    weights = [w.copy() for w in net0.weights]
-    biases = [b.copy() for b in net0.biases]
+    activation = arch_spec.activation
+    net0 = init_glorot(dims, activation, cfg.seed, 0)
+    params, grads, squares = _FlatLayers(dims), _FlatLayers(dims), _FlatLayers(dims)
+    for view, array in zip(params.weights + params.biases, net0.weights + net0.biases):
+        view[...] = array
+    # the network as the parameters are now, for the epoch's loss
+    current = Network(dims, params.weights, params.biases, activation)
 
     rng = generator(cfg.seed, 1)
     lr = cfg.learning_rate
@@ -172,11 +197,12 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
+            X_epoch, y_epoch = X[order], y[order]
             for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                gw, gb, sq = _batch_gradients(weights, biases, arch_spec.activation,
-                                              X[idx], y[idx])
-                if not np.isfinite(sq):
+                stop = start + cfg.batch_size
+                sq = _batch_gradients(params.weights, params.biases, activation,
+                                      X_epoch[start:stop], y_epoch[start:stop], grads, squares)
+                if not math.isfinite(sq):
                     raise DivergenceError(
                         f"non-finite gradient at epoch {epoch}, learning rate {lr:.6g}"
                     )
@@ -184,22 +210,17 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
                 norm = math.sqrt(sq)
                 if norm > cfg.max_grad_norm:
                     scale = lr * cfg.max_grad_norm / norm
-                for l in range(len(weights)):
-                    weights[l] -= scale * gw[l]
-                    biases[l] -= scale * gb[l]
-            lr *= cfg.lr_decay
+                params.vector -= scale * grads.vector
 
-            net = Network(dims, tuple(w.copy() for w in weights), tuple(b.copy() for b in biases),
-                          arch_spec.activation)
             try:
-                loss = quadratic_loss(net, X, y)
+                loss = quadratic_loss(current, X, y)
             except NumericalError:
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, learning rate {lr:.6g}"
                 ) from None
             history.append(loss)
             if best is None or loss < best[0]:
-                best = (loss, epoch, net)
+                best = (loss, epoch, params.vector.copy())
             # plateau check: averaging over the window irons out mini-batch wiggle
             w = cfg.early_stop_window
             if len(history) >= 2 * w:
@@ -208,10 +229,13 @@ def fit_least_squares(dataset, arch_spec: ArchSpec, cfg: TrainConfig) -> FittedM
                 if prior > 0 and recent > prior * (1.0 - cfg.tolerance):
                     stop_reason = "plateau"
                     break
+            lr *= cfg.lr_decay
 
     # return the best epoch's network: the last epoch can sit on a
     # mini-batch wiggle when the learning rate is still large
-    loss, best_epoch, net = best
+    loss, best_epoch, vector = best
+    layers = _FlatLayers(dims, vector)
+    net = Network(dims, layers.weights, layers.biases, activation)
     return FittedModel(
         net=net,
         train_loss_history=history,

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import reprlib
 import struct
 import tempfile
 from pathlib import Path
@@ -556,6 +557,32 @@ class TestTestCommand:
         assert capsys.readouterr().err.startswith("configuration error: architecture: ")
 
 
+
+@pytest.mark.parametrize("command, section, key", [
+    ("test", ("test",), "m"),
+    ("test", ("test",), "n_p"),
+    ("diagnose", ("diagnostics", "complexity"), "n_eps"),
+    ("diagnose", ("diagnostics", "complexity"), "n_class"),
+    ("generate", ("data", "generator"), "n"),
+])
+def test_size_no_array_holds_is_one_short_line(tmp_path, capsys, command, section, key):
+    """A 309-digit size is named by its key and abbreviated as reprlib
+    abbreviates it, so that the message stays one short line."""
+    cfg = base_config(tmp_path, n=40)
+    cfg["training"]["batch_size"] = 8
+    cfg["diagnostics"] = {"complexity": {"width": 2, "n_list": [10, 20, 40], "n_eps": 2,
+                                         "n_class": 2}}
+    node = cfg
+    for name in section:
+        node = node[name]
+    node[key] = 1e308
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 4
+    err = capsys.readouterr().err
+    size = reprlib.repr(int(1e308))
+    assert "..." in size and len(size) == 40
+    assert err.startswith(f"out of memory: {key} = {size} ") and "Traceback" not in err
+    assert err.endswith(" fit in no array\n") and len(err) < 120
+
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["test", "--config", str(tmp_path / "nope.json")]) == 2
@@ -1000,7 +1027,7 @@ class TestDiagnoseCommand:
         # is sampled: 2**62 draws of 40 signs are past numpy's index range,
         # and 1e308 past a C long
         err = self.too_large_for_memory(tmp_path, capsys, monkeypatch, n_eps, 2)
-        assert err.startswith(f"out of memory: n_eps = {int(n_eps)} Rademacher draws")
+        assert err.startswith(f"out of memory: n_eps = {reprlib.repr(int(n_eps))} Rademacher draws")
 
     @pytest.mark.parametrize("n_eps, n_class", [(0, 3), (2, 0), (2, -5)])
     def test_complexity_class_sizes_below_one(self, tmp_path, capsys, n_eps, n_class):

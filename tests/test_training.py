@@ -10,10 +10,12 @@ from nnsig.data import Dataset, TargetSpec, generate
 from nnsig.exceptions import ConfigurationError, DivergenceError, InputError, NumericalError
 from nnsig import training
 from nnsig.network import _ACTIVATIONS, Network, forward_batch, init_glorot, save
+from nnsig.seeding import generator
 from nnsig.training import (
     ArchSpec,
     TrainConfig,
     _batch_gradients,
+    _FlatLayers,
     fit_least_squares,
     quadratic_loss,
     width_schedule,
@@ -76,6 +78,16 @@ class TestWidthSchedule:
         assert ratios[0] > ratios[1] > ratios[2]
 
 
+def batch_gradients(weights, biases, activation, xb, yb):
+    """``_batch_gradients`` into NaN-filled buffers, so that an entry it does
+    not write shows: (grads_w, grads_b, sq)."""
+    dims = (weights[0].shape[1],) + tuple(w.shape[0] for w in weights)
+    grads, squares = _FlatLayers(dims), _FlatLayers(dims)
+    grads.vector[:] = np.nan
+    sq = _batch_gradients(weights, biases, activation, xb, yb, grads, squares)
+    return grads.weights, grads.biases, sq
+
+
 class TestBatchGradientOracle:
     def test_one_step_matches_symbolic_chain_rule(self, monkeypatch):
         # 1 hidden unit, 1 sample: compare against sympy derivatives
@@ -92,8 +104,7 @@ class TestBatchGradientOracle:
         biases = [np.array([b1v]), np.array([b2v])]
         # the derivative of tanh written from its value t = tanh(z)
         monkeypatch.setitem(_ACTIVATIONS, "tanh", (np.tanh, lambda t: 1.0 - t ** 2))
-        gw, gb, _ = _batch_gradients(weights, biases, "tanh",
-                                     np.array([[xv]]), np.array([yv]))
+        gw, gb, _ = batch_gradients(weights, biases, "tanh", np.array([[xv]]), np.array([yv]))
         assert gw[0][0, 0] == pytest.approx(expected[w1s], abs=1e-10)
         assert gb[0][0] == pytest.approx(expected[b1s], abs=1e-10)
         assert gw[1][0, 0] == pytest.approx(expected[w2s], abs=1e-10)
@@ -147,6 +158,61 @@ def ref_table_gradients(weights, biases, activation, xb, yb):
     return ref_batch_gradients(weights, biases, pair, xb, yb)
 
 
+def ref_gradients_into(weights, biases, activation, xb, yb, grads, squares):
+    """``ref_table_gradients`` in ``_batch_gradients``'s calling convention:
+    the gradients copied into ``grads``, the norm returned."""
+    gw, gb, sq = ref_table_gradients(weights, biases, activation, xb, yb)
+    for view, g in zip(grads.weights + grads.biases, gw + gb):
+        view[...] = g
+    return sq
+
+
+def ref_fit(dataset, arch_spec, cfg):
+    """The training loop written out with per-array arrays: fresh gradient
+    arrays from ``ref_table_gradients`` each step, ``X[idx]`` batches, the
+    norm summed per array, an update per weight and bias array, and a copied
+    network per epoch. Returns (history, best network, best epoch, stop
+    reason, number of clipped steps, number of steps)."""
+    X, y = dataset.X, dataset.y
+    n, d = X.shape
+    dims = arch_spec.layer_dims(d, n)
+    net0 = init_glorot(dims, arch_spec.activation, cfg.seed, 0)
+    weights = [w.copy() for w in net0.weights]
+    biases = [b.copy() for b in net0.biases]
+    rng = generator(cfg.seed, 1)
+    lr = cfg.learning_rate
+    history, best, stop_reason = [], None, "epoch_cap"
+    clipped = steps = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            gw, gb, sq = ref_table_gradients(weights, biases, arch_spec.activation, X[idx], y[idx])
+            scale = lr
+            norm = math.sqrt(sq)
+            if norm > cfg.max_grad_norm:
+                scale = lr * cfg.max_grad_norm / norm
+                clipped += 1
+            steps += 1
+            for l in range(len(weights)):
+                weights[l] -= scale * gw[l]
+                biases[l] -= scale * gb[l]
+        lr *= cfg.lr_decay
+        net = Network(dims, tuple(w.copy() for w in weights), tuple(b.copy() for b in biases),
+                      arch_spec.activation)
+        history.append(quadratic_loss(net, X, y))
+        if best is None or history[-1] < best[0]:
+            best = (history[-1], net, epoch)
+        w = cfg.early_stop_window
+        if len(history) >= 2 * w:
+            prior = math.fsum(history[-2 * w : -w]) / w
+            recent = math.fsum(history[-w:]) / w
+            if prior > 0 and recent > prior * (1.0 - cfg.tolerance):
+                stop_reason = "plateau"
+                break
+    return history, best[1], best[2], stop_reason, clipped, steps
+
+
 def pinned_fit():
     spec = TargetSpec(kind="linear", beta=(1.0, -0.5, 0.0), noise_sigma=0.1)
     ds = generate(spec, 600, 3, seed=12)
@@ -191,7 +257,7 @@ class TestBitIdenticalToReference:
         biases = [rng.normal(0.0, 1.0, b.shape) for b in net.biases]
         xb = rng.uniform(-1, 1, (64, 4))
         yb = rng.normal(0.0, 1.0, 64)
-        got = _batch_gradients(weights, biases, activation, xb, yb)
+        got = batch_gradients(weights, biases, activation, xb, yb)
         want = ref_batch_gradients(weights, biases, REF_PAIRS[activation], xb, yb)
         for g, r in zip(got[0] + got[1], want[0] + want[1]):
             assert g.tobytes() == r.tobytes()
@@ -199,12 +265,30 @@ class TestBitIdenticalToReference:
 
     def test_fit_matches_reference_formulas(self, monkeypatch):
         fitted = pinned_fit()
-        monkeypatch.setattr(training, "_batch_gradients", ref_table_gradients)
+        monkeypatch.setattr(training, "_batch_gradients", ref_gradients_into)
         monkeypatch.setattr(training, "forward_batch", ref_forward_batch)
         monkeypatch.setitem(_ACTIVATIONS, "sigmoid", (ref_sigmoid, lambda s: s * (1.0 - s)))
         ref = pinned_fit()
         assert history_sha256(fitted) == history_sha256(ref)
         for w, r in zip(fitted.net.weights + fitted.net.biases, ref.net.weights + ref.net.biases):
+            assert w.tobytes() == r.tobytes()
+
+    # depth 3 with 150 rows in batches of 32 (a last batch of 22): a gradient
+    # norm bound of 0.01 clips every step, and 1e6 none, ending on a plateau
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("max_grad_norm, clip_every_step", [(0.01, True), (1e6, False)])
+    def test_fit_matches_reference_loop(self, activation, max_grad_norm, clip_every_step):
+        spec = TargetSpec(kind="linear", beta=(1.0, -0.5, 0.0), noise_sigma=0.1)
+        ds = generate(spec, 150, 3, seed=21)
+        arch = ArchSpec(depth=3, width=6, activation=activation)
+        cfg = TrainConfig(seed=21, epochs=40, batch_size=32, learning_rate=0.8,
+                          max_grad_norm=max_grad_norm, tolerance=1e-3, early_stop_window=5)
+        fitted = fit_least_squares(ds, arch, cfg)
+        history, net, best_epoch, stop_reason, clipped, steps = ref_fit(ds, arch, cfg)
+        assert (clipped == steps) if clip_every_step else (clipped == 0)
+        assert np.asarray(fitted.train_loss_history).tobytes() == np.asarray(history).tobytes()
+        assert (fitted.best_epoch, fitted.stop_reason) == (best_epoch, stop_reason)
+        for w, r in zip(fitted.net.weights + fitted.net.biases, net.weights + net.biases):
             assert w.tobytes() == r.tobytes()
 
     def test_loss_history_pinned(self):
@@ -279,6 +363,18 @@ class TestFitLeastSquares:
         cfg = TrainConfig(seed=12, epochs=200, learning_rate=1e12, max_grad_norm=1e30)
         with pytest.raises(DivergenceError, match="epoch"):
             fit_least_squares(ds, ArchSpec(activation="relu"), cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_names_the_epochs_learning_rate(self):
+        # the rate is decayed after the epoch's loss, so the message names the
+        # rate that epoch 0 stepped with, not epoch 1's 5e+299
+        spec = TargetSpec(kind="linear", beta=(1.0, 1.0), noise_sigma=0.1)
+        ds = generate(spec, 50, 2, seed=1)
+        cfg = TrainConfig(seed=1, batch_size=50, learning_rate=1e300, lr_decay=0.5,
+                          max_grad_norm=1e300)
+        with pytest.raises(DivergenceError) as info:
+            fit_least_squares(ds, ArchSpec(width=4, activation="relu"), cfg)
+        assert str(info.value) == "non-finite loss at epoch 0, learning rate 1e+300"
 
     def test_batch_size_exceeds_n(self):
         spec = TargetSpec(kind="linear", beta=(1.0,), noise_sigma=0.1)
