@@ -141,6 +141,19 @@ def _check(section, table: dict, key: str) -> dict:
     return out
 
 
+# How deep a config may nest objects and lists: far less than the recursion
+# that checking, building and writing it back as config_echo takes.
+_MAX_DEPTH = 64
+
+
+def _deeper(value, levels: int) -> bool:
+    """Whether ``value`` nests objects and lists more than ``levels`` deep."""
+    if not isinstance(value, (dict, list)):
+        return False
+    items = value.values() if isinstance(value, dict) else value
+    return levels == 0 or any(_deeper(item, levels - 1) for item in items)
+
+
 def _load_config(path, seed_override=None, out_override=None) -> tuple[dict, dict]:
     """The checked config and the config echo: the JSON as loaded, with the
     overrides and the ``seed`` and ``output`` defaults applied."""
@@ -151,6 +164,13 @@ def _load_config(path, seed_override=None, out_override=None) -> tuple[dict, dic
         echo = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:  # nested past the JSON parser's reach
+        deep = True
+    else:
+        deep = _deeper(echo, _MAX_DEPTH)
+    if deep:
+        raise ConfigurationError(
+            f"config nests objects and lists more than {_MAX_DEPTH} levels deep")
     if not isinstance(echo, dict):
         raise ConfigurationError("config root must be a JSON object")
     if seed_override is not None:

@@ -125,11 +125,12 @@ def load_csv(path, target_column: str) -> Dataset:
     the target and a header that names a column twice (a repeated target
     would enter X; errors could not say which copy they mean). A file that
     cannot be opened or decoded as UTF-8, or that the csv module cannot
-    parse, is an ``IngestionError`` too.
+    parse, is an ``IngestionError`` too. A UTF-8 byte-order mark at the start,
+    as Excel's "CSV UTF-8" writes one, is not part of the first column's name.
     """
     header, rows = None, []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

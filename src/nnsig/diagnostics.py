@@ -36,11 +36,16 @@ class RateReport:
 
 
 def loglog_slope(x_values, errors):
-    """OLS slope of log(error) on log(x) plus its standard error."""
+    """OLS slope of log(error) on log(x) plus its standard error; an error
+    that is not positive and finite has no logarithm and is a NumericalError."""
+    if len(x_values) < 3:
+        raise ConfigurationError("need at least 3 points for a slope estimate")
+    for x, error in zip(x_values, errors):
+        if not 0.0 < error < math.inf:
+            raise NumericalError(f"the error at x = {x!r} is {error!r}, not positive and finite, "
+                                 "so it has no logarithm for the log-log slope")
     lx = np.log(np.asarray(x_values, dtype=np.float64))
     ly = np.log(np.asarray(errors, dtype=np.float64))
-    if lx.size < 3:
-        raise ConfigurationError("need at least 3 points for a slope estimate")
     xbar = lx.mean()
     sxx = float(((lx - xbar) ** 2).sum())
     slope = float(((lx - xbar) * (ly - ly.mean())).sum() / sxx)
@@ -58,23 +63,14 @@ def _evaluate(fn, X: np.ndarray) -> np.ndarray:
 
 
 def _check_class(n_eps: int, n_class: int, n: int) -> None:
-    """Both sizes at least 1, and room for the (n_eps, n) signs that
-    ``_rademacher`` draws: tried before the class is sampled, so that an n_eps
-    no array can hold is out of memory at once, naming n_eps."""
+    """Both sizes at least 1, and room for the (n_eps, n) signs and the
+    (n_class, n) outputs of ``estimate_rademacher``: tried before the class is
+    sampled, so that a size no array can hold is out of memory at once,
+    naming n_eps or n_class."""
     if n_eps < 1 or n_class < 1:
         raise ConfigurationError("n_eps and n_class must be at least 1")
     allocate((n_eps, n), "n_eps = {} Rademacher draws of n = {} signs")
-
-
-def _rademacher(outputs: np.ndarray, n_eps: int, seed: int) -> RademacherEstimate:
-    """The estimate of ``estimate_rademacher`` from the class's outputs, (n_class, n)."""
-    n = outputs.shape[1]
-    rng = generator(seed, 1)
-    eps = rng.choice(np.array([-1.0, 1.0]), size=(n_eps, n))
-    sups = np.abs(eps @ outputs.T / n).max(axis=1)  # (n_eps,)
-    value = float(sups.mean())
-    stderr = float(sups.std(ddof=1) / math.sqrt(n_eps)) if n_eps > 1 else 0.0
-    return RademacherEstimate(value, stderr)
+    allocate((n_class, n), "n_class = {} networks of n = {} outputs")
 
 
 def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
@@ -82,9 +78,17 @@ def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
     """Mean over n_eps Rademacher draws of max over n_class sampled functions
     of |(1/n) sum_i eps_i f(X_i)|; a lower bound on the class supremum."""
     X = np.asarray(X, dtype=np.float64)
-    _check_class(n_eps, n_class, len(X))
+    n = len(X)
+    _check_class(n_eps, n_class, n)
     fns = class_sampler(n_class, seed)
-    return _rademacher(np.stack([_evaluate(f, X) for f in fns]), n_eps, seed)
+    outputs = np.empty((len(fns), n))  # filled row by row: the outputs are held once
+    for k, f in enumerate(fns):
+        outputs[k] = _evaluate(f, X)
+    eps = generator(seed, 1).choice(np.array([-1.0, 1.0]), size=(n_eps, n))
+    sups = np.abs(eps @ outputs.T / n).max(axis=1)  # (n_eps,)
+    value = float(sups.mean())
+    stderr = float(sups.std(ddof=1) / math.sqrt(n_eps)) if n_eps > 1 else 0.0
+    return RademacherEstimate(value, stderr)
 
 
 def approximation_rate_experiment(target_spec: TargetSpec, widths, n: int,
@@ -126,26 +130,17 @@ def approximation_rate_experiment(target_spec: TargetSpec, widths, n: int,
 def complexity_scaling_experiment(layer_dims, n_list, seed: int,
                                   n_eps: int = 200, n_class: int = 50,
                                   activation: str = "sigmoid") -> RateReport:
-    """Rademacher estimates for a fixed sampled class across sample sizes;
-    the log-log slope should sit near -1/2."""
+    """``estimate_rademacher`` of one sampled class at each sample size of
+    n_list; the log-log slope should sit near -1/2."""
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError("n_list must be strictly increasing with >= 3 entries")
     if n_list[0] < 1:
         raise ConfigurationError(f"n_list sample sizes must be at least 1, got {n_list[0]}")
-    _check_class(n_eps, n_class, n_list[-1])
-    # allocated first, so that an n_class no array can hold is out of memory at
-    # once; the outputs at each n are its first n_class * n elements
-    block = allocate((n_class, n_list[-1]),
-                     "n_class = {} networks of n = {} outputs").reshape(-1)
+    _check_class(n_eps, n_class, n_list[-1])  # before the class is sampled
     nets = sample_networks(n_class, layer_dims, activation, seed)
-    estimates = []
-    for n, rng in zip(n_list, generators(seed, 2, 0, len(n_list))):
-        X = uniform_cube(rng, n, layer_dims[0])
-        outputs = block[:n_class * n].reshape(n_class, n)
-        for k, f in enumerate(nets):
-            outputs[k] = forward_batch(f, X)
-        estimates.append(_rademacher(outputs, n_eps, seed))
-    errs = [e.value for e in estimates]
+    errs = [estimate_rademacher(lambda count, s: nets, uniform_cube(rng, n, layer_dims[0]),
+                                n_eps, n_class, seed).value
+            for n, rng in zip(n_list, generators(seed, 2, 0, len(n_list)))]
     slope, stderr = loglog_slope(n_list, errs)
     return RateReport(x_values=n_list, errors=errs, log_log_slope=slope, slope_stderr=stderr)

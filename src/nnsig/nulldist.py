@@ -75,7 +75,9 @@ class SharedNull:
     jitter_used: float
     rechecked_draws: int  # draws the block product could not certify
     fsum_fallbacks: int  # statistic sums (distinct_selected * d) not certified
-    timings: dict  # seconds of the stages sample, evaluate, cholesky, select
+    # seconds of the stages sample, evaluate, cholesky, select; significance_tests
+    # adds the observed statistics to evaluate and the p-values to select
+    timings: dict
 
     def samples(self, j: int) -> list:
         """The n_p null samples of variable j."""
@@ -285,19 +287,23 @@ def significance_tests(fitted: FittedModel, dataset, variables,
     if not variables:
         return []
     X = np.asarray(dataset.X, dtype=np.float64)
-    observed = all_statistics(fitted.net, X)
+    timings = {}
+    with stage(timings, "evaluate"):  # the observed statistics' gradient pass
+        observed = all_statistics(fitted.net, X)
     null = build_null(fitted, X, cfg)
+    null.timings["evaluate"] += timings["evaluate"]
     results = []
-    for j in variables:
-        samples = null.samples(j)
-        results.append(TestResult(
-            variable_index=j,
-            observed=observed[j],
-            null_samples=samples,
-            p_value=p_value_from_null(observed[j].raw, samples),
-            seed=cfg.seed,
-            null=null,
-        ))
+    with stage(null.timings, "select"):  # each variable's null samples and p-value
+        for j in variables:
+            samples = null.samples(j)
+            results.append(TestResult(
+                variable_index=j,
+                observed=observed[j],
+                null_samples=samples,
+                p_value=p_value_from_null(observed[j].raw, samples),
+                seed=cfg.seed,
+                null=null,
+            ))
     return results
 
 

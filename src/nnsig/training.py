@@ -69,6 +69,8 @@ class ArchSpec:
     def __post_init__(self):  # depth first: layer_dims builds a tuple of depth + 2 dims
         if not 1 <= self.depth <= MAX_LAYER_DIMS - 2:
             raise ConfigurationError(f"depth must be 1 to {MAX_LAYER_DIMS - 2}, got {self.depth}")
+        if self.width is None and not self.width_c > 0:
+            raise ConfigurationError(f"width_c must be positive, got {self.width_c}")
         self.layer_dims(1, 2)  # the automatic width is smallest at n = 2
 
     def layer_dims(self, d: int, n: int | None = None) -> tuple:

@@ -592,6 +592,61 @@ class TestConfigErrors:
         p.write_text("{not json", encoding="utf-8")
         assert main(["test", "--config", str(p)]) == 2
 
+    @staticmethod
+    def nested(depth, inner):
+        """``inner`` wrapped in ``depth`` single-key objects."""
+        for _ in range(depth):
+            inner = {"a": inner}
+        return inner
+
+    @staticmethod
+    def base_chain(depth):
+        """A data.generator whose null_variable target has ``depth`` bases."""
+        target = {"kind": "linear", "beta": [1.0, 0.0]}
+        for _ in range(depth):
+            target = {"kind": "null_variable", "dead_index": 0, "base": target}
+        return {**target, "n": 50, "d": 2}
+
+    @pytest.mark.parametrize("case, commands", [
+        # past the JSON parser's recursion: json.loads raised RecursionError
+        ("seed", ("train",)),
+        # past the writer's: train fitted, then wrote a truncated summary
+        ("base", ("train", "test")),
+        # a retired key's value: test ran the null, then failed to echo it
+        ("rate_constants", ("test",))])
+    def test_config_nested_too_deep(self, tmp_path, capsys, monkeypatch, case, commands):
+        def no_data(*args):
+            raise AssertionError("data read from a config nested too deep")
+
+        monkeypatch.setattr(cli, "_dataset_from_config", no_data)
+        cfg = base_config(tmp_path / "out")
+        if case == "base":
+            cfg["data"]["generator"] = self.base_chain(600)
+        elif case == "rate_constants":
+            cfg["test"]["rate_constants"] = self.nested(600, 1)
+        text = json.dumps(cfg)
+        if case == "seed":
+            text = '{"seed": ' + "[" * 100_000 + "]" * 100_000 + text[1:]
+        (tmp_path / "config.json").write_text(text, encoding="utf-8")
+        for command in commands:
+            assert main([command, "--config", str(tmp_path / "config.json")]) == 2
+            err = capsys.readouterr().err
+            assert err == ("configuration error: config nests objects and lists more "
+                           f"than {cli._MAX_DEPTH} levels deep\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_config_nesting_bound(self, tmp_path):
+        # the root object and test are two levels, so 62 more reach the bound
+        cfg = base_config(tmp_path)
+        cfg["test"]["rate_constants"] = self.nested(61, [])
+        assert cli._load_config(write_config(tmp_path, cfg))[1] == cfg
+        cfg["test"]["rate_constants"] = self.nested(62, [])
+        with pytest.raises(ConfigurationError, match="more than 64 levels deep"):
+            cli._load_config(write_config(tmp_path, cfg))
+        cfg["data"]["generator"] = self.base_chain(30)  # a chain of 30 bases runs
+        cfg["test"] = {"m": 4, "n_p": 10}
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 0
+
     def test_both_path_and_generator(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg["data"]["path"] = "x.csv"
@@ -806,6 +861,20 @@ class TestConfigErrors:
             assert err.startswith(f"configuration error: {key}: ") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("width_c", [0, -3, -0.0])
+    def test_width_c_must_be_positive(self, tmp_path, capsys, width_c):
+        # an automatic width of 0 or less was the schedule's floor of 2
+        cfg = base_config(tmp_path)
+        cfg["architecture"] = {"width": "auto", "width_c": width_c}
+        for command in ("train", "test", "diagnose"):
+            assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err == ("configuration error: architecture: width_c must be positive, "
+                           f"got {float(width_c)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        cfg["architecture"] = {"width": 5, "width_c": width_c}  # unused by a fixed width
+        assert main(["train", "--config", write_config(tmp_path, cfg)]) == 0
+
     def test_retired_keys_accepted_and_ignored(self, tmp_path):
         cfg = base_config(tmp_path)
         plain, _ = cli._load_config(write_config(tmp_path, cfg, "plain.json"))
@@ -890,6 +959,24 @@ class TestConfigErrors:
         assert main(["test", "--config", write_config(tmp_path, cfg)]) == 3
         err = capsys.readouterr().err
         assert f"{data}: no covariate column" in err and "Traceback" not in err
+
+    def test_csv_with_a_byte_order_mark(self, tmp_path):
+        # as Excel's "CSV UTF-8" saves it; the target was "missing", exit 3
+        gen = base_config(tmp_path)
+        assert main(["generate", "--config", write_config(tmp_path, gen, "g.json")]) == 0
+        lines = (tmp_path / "dataset.csv").read_text(encoding="utf-8").splitlines()
+        y_first = "".join(",".join(line.split(",")[-1:] + line.split(",")[:-1]) + "\n"
+                          for line in lines)
+        assert y_first.startswith("y,x1,x2\n")
+        (tmp_path / "plain.csv").write_text(y_first, encoding="utf-8")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + y_first.encode())
+        reports = []
+        for name in ("plain.csv", "bom.csv"):
+            cfg = base_config(tmp_path / name.replace(".", "_"))
+            cfg["data"] = {"path": str(tmp_path / name), "target_column": "y"}
+            assert main(["test", "--config", write_config(tmp_path, cfg, "t.json")]) == 0
+            reports.append(json.loads((cfg_out(cfg) / "report.json").read_text()))
+        assert reports[0]["results"] == reports[1]["results"]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.binary(max_size=120) | csv_tables(), epochs=st.integers(1, 2),
@@ -1036,6 +1123,20 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: diagnostics.complexity: n_eps and n_class")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_estimate_is_a_numerical_error(self, tmp_path, capsys):
+        # a relu network of width 1 whose outputs are all 0: every estimate
+        # is 0.0, whose log gave a NaN slope after two RuntimeWarnings
+        cfg = {"seed": 2, "output": {"dir": str(tmp_path / "out")},
+               "diagnostics": {"complexity": {
+                   "width": 1, "depth": 2, "activation": "relu", "n_class": 1,
+                   "n_list": [10, 20, 40], "n_eps": 5}}}
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: the error at x = 10 is 0.0, not positive and finite, "
+            "so it has no logarithm for the log-log slope\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_failing_study_leaves_no_output(self, tmp_path, capsys):
         cfg = {"output": {"dir": str(tmp_path)}, "diagnostics": {

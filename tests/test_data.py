@@ -163,6 +163,24 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match=re.escape(f"{p}: not UTF-8 text")):
             load_csv(p, "y")
 
+    def test_byte_order_mark_is_not_part_of_the_target(self, tmp_path):
+        # Excel's "CSV UTF-8" starts with one; the target was "missing", 'y'
+        text = "y,x1,x2\n1,0,5\n2,5,0\n4,10,10\n"
+        plain = load_csv(self.write(tmp_path, text), "y")
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = load_csv(p, "y")
+        assert np.array_equal(ds.y, [1.0, 2.0, 4.0])
+        assert np.array_equal(ds.X, plain.X) and ds.rescale_transform == plain.rescale_transform
+
+    def test_byte_order_mark_is_not_part_of_a_covariate(self, tmp_path):
+        # another target: the first covariate was named '\ufeffy'
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfy,x1,x2\n7,0,5\n7,5,0\n7,10,10\n")
+        with pytest.raises(IngestionError, match=re.escape(
+                f"{p}: constant covariate column 'y' (zero range)")):
+            load_csv(p, "x2")
+
     def test_cell_beyond_csv_field_limit_cites_row(self, tmp_path):
         p = self.write(tmp_path, "a,y\n1,2\n3," + "4" * 131_073 + "\n")
         with pytest.raises(IngestionError, match=re.escape(f"{p}: malformed CSV at row 2")):

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import reprlib
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from nnsig.diagnostics import (
     estimate_rademacher,
     loglog_slope,
 )
-from nnsig.exceptions import ConfigurationError
+from nnsig.exceptions import ConfigurationError, NumericalError
 from nnsig.network import Network, init_glorot, sample_networks
+from nnsig.seeding import generator
 from nnsig.training import TrainConfig
 
 
@@ -58,6 +60,13 @@ class TestEstimateRademacher:
         size = re.escape(reprlib.repr(n_eps))  # int(1e308)'s 309 digits abbreviated
         with pytest.raises(MemoryError, match=f"^n_eps = {size} Rademacher draws of n = 30"):
             estimate_rademacher(no_sampling, np.zeros((30, 2)), n_eps, 2, seed=1)
+
+    def test_class_no_array_holds_before_sampling(self):
+        def no_sampling(count, seed):
+            raise AssertionError("class sampled before its outputs were tried")
+
+        with pytest.raises(MemoryError, match=f"^n_class = {2 ** 62} networks of n = 30 outputs"):
+            estimate_rademacher(no_sampling, np.zeros((30, 2)), 5, 2 ** 62, seed=1)
 
     def test_quadruple_n_halves_estimate(self):
         sampler = lambda count, seed: sample_networks(count, (3, 6, 6, 1), "sigmoid", seed)
@@ -104,6 +113,14 @@ class TestLogLogSlope:
         assert slope == pytest.approx(-0.5, abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
+    def test_error_without_a_logarithm_is_named(self, bad):
+        # a zero estimate once gave a NaN slope after numpy's RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"error at x = 20 is {bad!r}")):
+                loglog_slope([10, 20, 40], [0.5, bad, 0.2])
+
     def test_needs_three_points(self):
         with pytest.raises(ConfigurationError):
             loglog_slope([1, 2], [1.0, 2.0])
@@ -128,6 +145,17 @@ class TestComplexityScaling:
             "[0.1554067754204889, 0.10353371803217763, 0.07853816306596433]")
         assert repr(report.log_log_slope) == "-0.49229182173528085"
         assert repr(report.slope_stderr) == "0.05407283200696315"
+
+    def test_estimates_are_estimate_rademacher(self):
+        # one class sampled once, its estimate at each n taken from
+        # estimate_rademacher on that n's covariates
+        layer_dims, n_list = (2, 5, 1), [30, 60, 120]
+        report = complexity_scaling_experiment(layer_dims, n_list, seed=9, n_eps=20,
+                                               n_class=4, activation="tanh")
+        sampler = lambda count, seed: sample_networks(count, layer_dims, "tanh", seed)
+        for i, (n, error) in enumerate(zip(n_list, report.errors)):
+            X = generator(9, 2, i).uniform(-1.0, 1.0, (n, 2))
+            assert estimate_rademacher(sampler, X, 20, 4, seed=9).value == error
 
     def test_monotone_n_list_required(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -401,6 +402,26 @@ class TestSignificanceTest:
             assert res.seed == alone.seed
             assert np.array_equal(res.null.idx, alone.null.idx)
             assert res.null is shared[0].null
+
+    def test_timings_cover_the_observed_pass_and_the_p_values(self, small_fitted, monkeypatch):
+        # the fitted network's gradient pass is part of evaluate and the
+        # per-variable read-out part of select; both once fell in no stage
+        fitted, ds = small_fitted
+        pause = 0.05
+        observe, read_out = nnsig.nulldist.all_statistics, nnsig.nulldist.p_value_from_null
+
+        def slow(function):
+            def call(*args):
+                time.sleep(pause)
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(nnsig.nulldist, "all_statistics", slow(observe))
+        monkeypatch.setattr(nnsig.nulldist, "p_value_from_null", slow(read_out))
+        null = significance_tests(fitted, ds, [0, 1], NullConfig(m=5, n_p=10)).pop().null
+        assert sorted(null.timings) == ["cholesky", "evaluate", "sample", "select"]
+        assert null.timings["evaluate"] >= pause
+        assert null.timings["select"] >= 2 * pause
 
     def test_variable_out_of_range(self, small_fitted):
         fitted, ds = small_fitted
