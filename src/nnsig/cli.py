@@ -400,6 +400,7 @@ def _null_summary(null) -> dict:
         "distinct_selected": null.distinct_selected,
         "ess": null.ess,
         "top_share": null.top_share,
+        "float64_draws": null.float64_draws,
         "rechecked_draws": null.rechecked_draws,
         "fsum_fallbacks": null.fsum_fallbacks,
     }
@@ -506,18 +507,20 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
     t0 = time.perf_counter()
     test = cfg.get("test", {})
     outputs = built["outputs"]
-    report_path = outputs.path("report")  # first: an unusable output.dir names the report
-    model_path = outputs.path("model", read=True)
-    summary_path = outputs.path("train_summary", read=True)
     timings = {}
+    with stage(timings, "report"):  # resolving the paths, before the data read
+        report_path = outputs.path("report")  # first: an unusable output.dir names the report
+        model_path = outputs.path("model", read=True)
+        summary_path = outputs.path("train_summary", read=True)
     with stage(timings, "data"):
         dataset = _dataset_from_config(cfg, built["target"])
     variables = test.get("variables", range(dataset.d))
     for j in variables:
         if not (0 <= j < dataset.d):
             raise ConfigurationError(f"test.variables: index {j} out of range for d={dataset.d}")
-    sidecars = {j: outputs.path("null_samples_csv_prefix", f"_var{j}.csv")
-                for j in variables} if test.get("null_samples_csv") else {}
+    with stage(timings, "report"):
+        sidecars = {j: outputs.path("null_samples_csv_prefix", f"_var{j}.csv")
+                    for j in variables} if test.get("null_samples_csv") else {}
 
     with stage(timings, "fit"):
         if model_path.is_file():
@@ -537,30 +540,29 @@ def cmd_test(cfg: dict, echo: dict, built: dict) -> int:
             fitted = _fit(built, dataset)
 
     tested = significance_tests(fitted, dataset, variables, built["null"])
-    results = []
-    for res in tested:
-        entry = {
-            "variable_index": res.variable_index,
-            "observed_raw": res.observed.raw,
-            "observed_normalized": res.observed.raw,
-            "p_value": res.p_value,
-            "seed": res.seed,
-        }
-        if test.get("include_null_samples", True):
-            entry["null_samples"] = res.null_samples
-        results.append(entry)
-
-    report = {
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "master_seed": cfg["seed"],
-        "config_echo": echo,
-        "fitted": _fitted_summary(fitted),
-        "training": _training_summary(fitted),
-        "results": results,
-        "null": _null_summary(tested[0].null) if tested else None,
-    }
     with stage(timings, "report"):
+        results = []
+        for res in tested:
+            entry = {
+                "variable_index": res.variable_index,
+                "observed_raw": res.observed.raw,
+                "observed_normalized": res.observed.raw,
+                "p_value": res.p_value,
+                "seed": res.seed,
+            }
+            if test.get("include_null_samples", True):
+                entry["null_samples"] = res.null_samples
+            results.append(entry)
+        report = {
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "master_seed": cfg["seed"],
+            "config_echo": echo,
+            "fitted": _fitted_summary(fitted),
+            "training": _training_summary(fitted),
+            "results": results,
+            "null": _null_summary(tested[0].null) if tested else None,
+        }
         if sidecars:
             for res in tested:
                 write_csv(sidecars[res.variable_index], ["sample"], zip(res.null_samples))

@@ -298,6 +298,11 @@ class TestTestCommand:
         assert all(report["timings"][s] >= 0.0 for s in stages)
         assert sum(report["timings"][s] for s in stages) <= report["timings"]["wall_seconds"]
 
+    def test_float64_draws_are_reported_outside_results(self, tmp_path):
+        cfg = base_config(tmp_path)
+        null = self.run_test(tmp_path, cfg)["null"]
+        assert 0 <= null["rechecked_draws"] <= null["float64_draws"] <= cfg["test"]["n_p"]
+
     def test_variable_subset_and_sidecar(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg["test"]["variables"] = [1]

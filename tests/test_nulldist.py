@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,108 @@ class TestNullSample:
         assert chi2 < 13.2767  # chi-square 99th percentile, 4 dof
 
 
+def float32_bound(chol):
+    """Half the float32 pass's margin per unit of |g|: 2 (e32 + gamma_m) R,
+    the most the float32 and float64 values of a coordinate may differ by."""
+    m, u, u64 = len(chol), 2.0 ** -24, 2.0 ** -53
+    e32 = m * u / (1 - m * u) * (1 + u) ** 2 + 2 * u + u * u
+    return 2 * (e32 + m * u64 / (1 - m * u64)) * np.linalg.norm(chol, axis=1).max()
+
+
+class ConstantDraws:
+    """Stands in for ``seeding.generators``: every draw is the row ``g``."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def __call__(self, seed, head, start, count):
+        return (self for _ in range(count))
+
+    def standard_normal(self, out):
+        out[:] = self.g
+
+
+class TestFloat32Pass:
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 600), factor_seed=st.integers(0, 1000), seed=st.integers(0, 2 ** 64),
+           n_p=st.sampled_from((1, 2, 255, 256, 257, 513)),
+           rows=st.lists(st.tuples(st.sampled_from(("up", "down", "repeat", "last_bits")),
+                                   st.integers(0, 599), st.integers(0, 599)), max_size=4))
+    def test_index_is_per_draw_argmax_at_any_scale(self, m, factor_seed, seed, n_p, rows):
+        # rows scaled by 2**130 or 2**-130 put the others or themselves below
+        # the float32 normal range once the factor is scaled; a repeated row
+        # makes exact ties, and one that differs in its last float32 bits makes
+        # near-ties that the float32 pass cannot see
+        rng = np.random.default_rng(factor_seed)
+        a = rng.normal(size=(m, m)) + rng.normal(size=(1, m))
+        chol = np.linalg.cholesky(a @ a.T / m + 1e-6 * np.eye(m))
+        for how, i, j in rows:
+            i, j = i % m, j % m
+            if how == "up":
+                chol[i] *= 2.0 ** 130
+            elif how == "down":
+                chol[i] *= 2.0 ** -130
+            elif how == "repeat":
+                chol[i] = chol[j]
+            else:
+                chol[i] = chol[j] * (1 + rng.uniform(-2, 2, m) * 2.0 ** -24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            counts = {}
+            idx, rechecked = _select(chol, seed, n_p, counts)
+        assert idx.shape == (n_p,)
+        assert 0 <= rechecked <= counts["float64_draws"] <= n_p
+        for t, k in enumerate(idx):
+            assert k == np.argmax(chol @ seeded_draw(seed, t, m))
+
+    @pytest.mark.parametrize("m", [2, 6, 40])
+    def test_no_draw_within_the_bound_is_certified_in_float32(self, m):
+        # two rows that differ in their last float32 bits lead most draws by a
+        # gap of the order of the float32 rounding: each draw whose float64
+        # gap is within the bound must be handed to float64
+        rng = np.random.default_rng(m)
+        chol = np.linalg.cholesky(np.eye(m) + 0.2)
+        chol[:, 0] *= 4.0  # rows 0 and 1 lead on most draws
+        chol[1] = chol[0] * (1 + rng.uniform(-4, 4, m) * 2.0 ** -24)
+        n_p, within = 2000, 0
+        counts = {}
+        idx, _ = _select(chol, 12, n_p, counts)
+        bound = float32_bound(chol)
+        for t, k in enumerate(idx):
+            g = seeded_draw(12, t, m)
+            v = chol @ g
+            assert k == np.argmax(v)
+            second = np.partition(v, -2)[-2]
+            within += v.max() - second <= 0.99 * bound * np.linalg.norm(g)
+        assert within >= n_p // 5
+        assert counts["float64_draws"] >= within
+
+    def test_a_float32_overflow_is_not_certified(self, monkeypatch):
+        # a draw near the float32 range: row 0's first two products overflow a
+        # float32 partial sum that its third would bring back, so the float32
+        # pass sees +inf where row 1 leads
+        g = np.full(3, 1.99 * 2.0 ** 127)
+        chol = np.array([[0.57, 0.57, -0.57], [0.6, 0.0, 0.0], [0.0, 0.0, 0.1]])
+        monkeypatch.setattr(nnsig.nulldist, "generators", ConstantDraws(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            counts = {}
+            idx, rechecked = _select(chol, 0, 3, counts)
+        assert idx.tolist() == [1, 1, 1] == [np.argmax(chol @ g)] * 3
+        assert counts["float64_draws"] == 3 and rechecked == 0
+
+    def test_build_null_reports_the_float64_draws(self, small_fitted):
+        fitted, ds = small_fitted
+        cfg = NullConfig(m=40, n_p=600, seed=9)
+        null = build_null(fitted, ds.X, cfg)
+        nets = sample_networks(cfg.m, fitted.net.layer_dims, fitted.net.activation, cfg.seed)
+        chol = cholesky_with_jitter(empirical_covariance(nets, ds.X)).chol_factor
+        counts = {}
+        idx, rechecked = _select(chol, cfg.seed, cfg.n_p, counts)
+        assert np.array_equal(null.idx, idx)
+        assert (null.float64_draws, null.rechecked_draws) == (counts["float64_draws"], rechecked)
+
+
 class TestPValue:
     def test_observed_zero_gives_one(self):
         assert p_value_from_null(0.0, [0.0, 0.1, 0.5]) == 1.0
@@ -278,6 +381,17 @@ class TestPValue:
 
     def test_in_unit_interval(self):
         assert 0 < p_value_from_null(0.5, [0.4, 0.6]) <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from((0.0, -0.0, 1.0, 2.5, 1e-300, math.inf))
+                           | st.floats(allow_nan=True), min_size=1, max_size=40),
+           pick=st.integers(0, 39), observed=st.floats(allow_nan=True))
+    def test_count_is_the_loop_count(self, values, pick, observed):
+        # ties with the observed value, -0.0 against 0.0 and one-sample nulls
+        for obs in (observed, values[pick % len(values)], -values[pick % len(values)]):
+            want = (1 + sum(1 for v in values if v >= obs)) / (len(values) + 1)
+            got = p_value_from_null(obs, values)
+            assert type(got) is float and got == want
 
 
 class TestNullDistribution:
