@@ -16,8 +16,9 @@ import numpy as np
 
 from .data import Dataset, TargetSpec, generate, split, uniform_cube
 from .exceptions import ConfigurationError, DivergenceError, NumericalError, allocate
-from .network import Network, forward_batch, sample_networks
+from .network import Network, SampledClass, forward_batch, sample_networks
 from .seeding import generator, generators
+from .significance import network_blocks
 from .training import ArchSpec, TrainConfig, fit_least_squares
 
 
@@ -57,7 +58,8 @@ def loglog_slope(x_values, errors):
 
 
 def _evaluate(fn, X: np.ndarray) -> np.ndarray:
-    if isinstance(fn, Network):
+    """The outputs of a network, of a sampled class or of a callable on X."""
+    if isinstance(fn, (Network, SampledClass)):
         return forward_batch(fn, X)
     return np.asarray(fn(X), dtype=np.float64)
 
@@ -81,9 +83,9 @@ def estimate_rademacher(class_sampler, X, n_eps: int, n_class: int,
     n = len(X)
     _check_class(n_eps, n_class, n)
     fns = class_sampler(n_class, seed)
-    outputs = np.empty((len(fns), n))  # filled row by row: the outputs are held once
-    for k, f in enumerate(fns):
-        outputs[k] = _evaluate(f, X)
+    outputs = np.empty((len(fns), n))  # filled block by block: the outputs are held once
+    for start, stop, block in network_blocks(fns, n):
+        outputs[start:stop] = _evaluate(block, X)
     eps = generator(seed, 1).choice(np.array([-1.0, 1.0]), size=(n_eps, n))
     sups = np.abs(eps @ outputs.T / n).max(axis=1)  # (n_eps,)
     value = float(sups.mean())

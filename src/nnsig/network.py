@@ -2,18 +2,22 @@
 
 Networks are plain containers of per-layer weight matrices and bias vectors
 with a Lipschitz activation applied on hidden layers only; the output layer
-is affine. Instances are treated as immutable after construction.
+is affine. Instances are treated as immutable after construction. A sampled
+class (``SampledClass``) holds m networks of one architecture as one weight
+stack per layer, and ``forward_batch`` and ``input_gradient_batch`` evaluate
+a whole stack in one pass, of which one ``Network`` is the 2-D case.
 """
 
 from __future__ import annotations
 
 import reprlib
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, FormatError, InputError
+from .exceptions import ConfigurationError, FormatError, InputError, allocate
 from .seeding import generator, generators, truncated_normal
 
 MAGIC = b"NNSIG1"
@@ -30,9 +34,12 @@ def _stable_sigmoid(z):
     so the max is exp(z) and the result is exp(z)/(1+exp(z)). Either way it is
     one correctly rounded division of the operands the two-branch formula
     divides, so the bits are the same. -0.0 counts as z >= 0 and gives 0.5,
-    and a NaN propagates through the max.
+    and a NaN propagates through the max. ``t`` is ``np.abs`` negated in
+    place, which gives the bits of ``np.copysign(z, -1.0)`` (a NaN's too) in
+    less time.
     """
-    t = np.copysign(z, -1.0)
+    t = np.abs(z)
+    np.negative(t, out=t)
     np.exp(t, out=t)
     d = t + 1.0
     np.maximum(t, z >= 0, out=t)
@@ -122,24 +129,64 @@ def glorot_sigma(input_dim: int) -> float:
     return float(np.sqrt(2.0 / (input_dim + 1)))
 
 
-def _glorot(dims: tuple, activation: str, rng: np.random.Generator) -> Network:
-    """Weights from N(0, sigma_g), sigma_g = sqrt(2/(d+1)), truncated to
-    |w| <= 2*sigma_g by resampling, drawn from ``rng`` layer by layer; biases zero."""
+def _glorot_weights(dims: tuple, rng: np.random.Generator):
+    """Each layer's weights from N(0, sigma_g), sigma_g = sqrt(2/(d+1)),
+    truncated to |w| <= 2*sigma_g by resampling, drawn from ``rng`` layer by
+    layer."""
     sigma = glorot_sigma(dims[0])
-    weights = tuple(truncated_normal(rng, (n_out, n_in), sigma, 2.0 * sigma)
-                    for n_in, n_out in zip(dims, dims[1:]))
-    return Network(dims, weights, tuple(np.zeros(v) for v in dims[1:]), activation)
+    for n_in, n_out in zip(dims, dims[1:]):
+        yield truncated_normal(rng, (n_out, n_in), sigma, 2.0 * sigma)
 
 
 def init_glorot(layer_dims, activation: str, seed, *key) -> Network:
-    """A truncated-Glorot network (``_glorot``) from stream ``key`` of ``seed``."""
-    return _glorot(_architecture(layer_dims, activation), activation, generator(seed, *key))
-
-
-def sample_networks(m: int, layer_dims, activation: str, seed) -> list:
-    """``init_glorot(layer_dims, activation, seed, 0, k)`` for k < m, bit for bit."""
+    """A truncated-Glorot network (``_glorot_weights``, zero biases) from
+    stream ``key`` of ``seed``."""
     dims = _architecture(layer_dims, activation)
-    return [_glorot(dims, activation, rng) for rng in generators(seed, 0, 0, m)]
+    return Network(dims, tuple(_glorot_weights(dims, generator(seed, *key))),
+                   tuple(np.zeros(v) for v in dims[1:]), activation)
+
+
+@dataclass(frozen=True, eq=False)  # compared by identity: array fields have no single truth value
+class SampledClass(Sequence):
+    """Networks of one architecture whose biases are all zero, held as one
+    weight stack per layer: ``weights[l]`` has shape (m, width_l,
+    width_{l-1}), and ``weights[l][k]`` is network k's.
+
+    An integer index gives network k as a ``Network`` whose weights are views
+    of the stacks and whose biases are zeros; a slice or an index array gives
+    the class of those networks. ``forward_batch`` and
+    ``input_gradient_batch`` take a class as they take one network, and add
+    no bias to it (``hidden_layers``).
+    """
+
+    layer_dims: tuple
+    weights: tuple
+    activation: str
+    biases = None  # a class attribute, not a field: the class has no bias to add
+
+    def __len__(self) -> int:
+        return len(self.weights[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice) or np.ndim(k) > 0:
+            return SampledClass(self.layer_dims, tuple(w[k] for w in self.weights),
+                                self.activation)
+        return Network(self.layer_dims, tuple(w[k] for w in self.weights),
+                       tuple(np.zeros(v) for v in self.layer_dims[1:]), self.activation)
+
+
+def sample_networks(m: int, layer_dims, activation: str, seed) -> SampledClass:
+    """The class of m networks whose network k is ``init_glorot(layer_dims,
+    activation, seed, 0, k)``, bit for bit. The weight stacks are allocated
+    before any network is drawn, so that an m no array can hold is out of
+    memory at once."""
+    dims = _architecture(layer_dims, activation)
+    weights = tuple(allocate((m, n_out, n_in), "m = {} networks of {} by {} weights")
+                    for n_in, n_out in zip(dims, dims[1:]))
+    for k, rng in enumerate(generators(seed, 0, 0, m)):
+        for w, drawn in zip(weights, _glorot_weights(dims, rng)):
+            w[k] = drawn
+    return SampledClass(dims, weights, activation)
 
 
 def linear_network(beta, intercept: float = 0.0) -> Network:
@@ -165,37 +212,64 @@ def linear_network(beta, intercept: float = 0.0) -> Network:
     )
 
 
-def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
+def _check_input(net, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
+    if X.ndim != 2 or X.shape[1] != net.layer_dims[0]:
         raise InputError(
-            f"input has shape {X.shape}, network expects dimension {net.input_dim}"
+            f"input has shape {X.shape}, network expects dimension {net.layer_dims[0]}"
         )
     return X
 
 
 def hidden_layers(weights, biases, activation: str, X):
     """Each hidden layer's activation psi(a @ w.T + b) in turn, from a = X
-    through every layer but the affine last one."""
+    through every layer but the affine last one.
+
+    Each weight is one network's (width_l, width_{l-1}) matrix, or a stack of
+    B networks' matrices, (B, width_l, width_{l-1}): from an (n, d) X a stack
+    gives (B, n, width_l) activations, and ``np.matmul`` takes each network's
+    product with the same kernel, operands and strides as for that network
+    alone, so its rows are that network's bits. ``biases`` is each layer's
+    bias, broadcast against ``a @ w.T``, or None for networks without biases
+    (a ``SampledClass``), and then no bias is added.
+
+    Adding a zero bias changes nothing but the sign of a zero: ``z + 0.0``
+    is ``z``, except that -0.0 becomes +0.0. So a pass that leaves it out
+    gives values that agree with the pass that adds it up to the sign of a
+    zero: a sum, product or quotient by a nonzero of such values again
+    agrees up to the sign of a zero, with the same nonzero values. Each
+    activation takes ±0 to values that agree so (sigmoid to 0.5, tanh and
+    relu to a zero), and each derivative read off them (``a > 0``,
+    ``1 - a*a``, ``(1 - a) a``) to the same bits. A square has no signed
+    zero, so the squared gradients, and with them every statistic, keep
+    their bits. The outputs' Gram matrix S keeps them too, but for the sign
+    of an entry that is zero; its diagonal, a sum of squares, keeps them all.
+    A zero's sign moves no nonzero entry of S's Cholesky factor (a pivot
+    that is zero fails the factorization either way), no row norm, no float
+    comparison and so no selected index.
+    """
     psi = _ACTIVATIONS[activation][0]
     a = X
-    for w, b in zip(weights[:-1], biases[:-1]):
-        z = a @ w.T
-        z += b
+    for l, w in enumerate(weights[:-1]):
+        z = a @ w.swapaxes(-1, -2)
+        if biases is not None:
+            z += biases[l]
         a = psi(z)
         yield a
 
 
-def forward_batch(net: Network, X) -> np.ndarray:
-    """Evaluate the network on each row of X; returns shape (n,)."""
+def forward_batch(net, X) -> np.ndarray:
+    """Evaluate a network on each row of X; returns shape (n,), or (m, n)
+    for a ``SampledClass`` of m networks."""
     a = X = _check_input(net, X)
     for a in hidden_layers(net.weights, net.biases, net.activation, X):
         pass
-    out = a @ net.weights[-1].T
-    out += net.biases[-1]
-    return out[:, 0]
+    out = a @ net.weights[-1].swapaxes(-1, -2)
+    if net.biases is not None:
+        out += net.biases[-1]
+    return out[..., 0]
 
 
 def forward(net: Network, x) -> float:
@@ -206,8 +280,9 @@ def forward(net: Network, x) -> float:
     return float(forward_batch(net, x[None, :])[0])
 
 
-def input_gradient_batch(net: Network, X) -> np.ndarray:
-    """Gradient of the output with respect to the input, per row; shape (n, d).
+def input_gradient_batch(net, X) -> np.ndarray:
+    """Gradient of the output with respect to the input, per row; shape
+    (n, d), or (m, n, d) for a ``SampledClass`` of m networks.
 
     Reverse accumulation through the layer recursion; exact for smooth
     activations, subgradient with psi'(0) = 0 for relu.
@@ -215,8 +290,9 @@ def input_gradient_batch(net: Network, X) -> np.ndarray:
     X = _check_input(net, X)
     derivative = _ACTIVATIONS[net.activation][1]
     derivs = [derivative(a) for a in hidden_layers(net.weights, net.biases, net.activation, X)]
-    # J starts as d out / d a_L, shape (n, width_L)
-    j = np.broadcast_to(net.weights[-1][0], (X.shape[0], net.weights[-1].shape[1]))
+    # J starts as d out / d a_L, shape (n, width_L) per network
+    w_out = net.weights[-1]
+    j = np.broadcast_to(w_out[..., :1, :], w_out.shape[:-2] + (len(X), w_out.shape[-1]))
     if not derivs:  # no hidden layer: purely affine
         return j.copy()
     # each step scales J by psi' in the derivative's own buffer

@@ -5,7 +5,9 @@ Pipeline, run once and shared by every tested variable:
      Glorot distribution;
   2. evaluate every network's outputs (a forward pass, no gradient), form
      the Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i), optionally
-     shrink it toward its diagonal, and factorize it;
+     shrink it toward its diagonal, and factorize it. The sampled networks'
+     biases are zero, and neither pass adds them (``network.hidden_layers``
+     shows that this keeps every bit that matters);
   3. repeatedly draw a centered multivariate normal and pick the network at
      the argmax coordinate. The draws are evaluated in blocks, first in
      float32; a draw whose argmax that product cannot certify goes to a
@@ -30,7 +32,7 @@ import numpy as np
 from .exceptions import ConfigurationError, InputError, NumericalError, allocate
 from .network import forward_batch, sample_networks
 from .seeding import generators
-from .significance import VariableStatistic, all_statistics, statistics
+from .significance import VariableStatistic, all_statistics, network_blocks, statistics
 from .timing import stage
 from .training import FittedModel
 
@@ -115,14 +117,20 @@ def empirical_covariance(nets, X, outputs=None) -> CovMatrix:
     """Gram covariance S[l,k] = (1/n) sum_i f_l(x_i) f_k(x_i).
 
     The network outputs are written to ``outputs``, an (m, n) array, when
-    one is given, else to a new one."""
+    one is given, else to a new one, from one ``forward_batch`` call per
+    block of ``significance.network_blocks``. An S that is not finite, from
+    an output or a product past the float range, raises NumericalError."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))  # a 1-D X is one point
     if outputs is None:
         outputs = np.empty((len(nets), len(X)))
-    for k, f in enumerate(nets):
-        outputs[k] = forward_batch(f, X)
-    s = outputs @ outputs.T / outputs.shape[1]
-    s = (s + s.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on S
+        for start, stop, block in network_blocks(nets, len(X)):
+            outputs[start:stop] = forward_batch(block, X)
+        s = outputs @ outputs.T / outputs.shape[1]
+        s = (s + s.T) / 2.0
+    if not np.isfinite(s).all():
+        raise NumericalError("the covariance of the sampled networks' outputs is not finite: "
+                             "an output or a product of two is past the float range")
     return CovMatrix(entries=s)
 
 
@@ -314,7 +322,7 @@ def build_null(fitted: FittedModel, X, cfg: NullConfig) -> SharedNull:
         del cov
         selected = np.flatnonzero(np.bincount(idx, minlength=cfg.m))
         stats = np.full((cfg.m, d), np.nan)
-        stats[selected], fallbacks = statistics([nets[k] for k in selected], X)
+        stats[selected], fallbacks = statistics(nets[selected], X)
         del nets
     return SharedNull(stats=stats, idx=idx, jitter_used=jitter,
                       float64_draws=counts["float64_draws"], rechecked_draws=rechecked,

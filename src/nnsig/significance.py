@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, NumericalError
-from .network import Network, input_gradient_batch
+from .network import Network, SampledClass, input_gradient_batch
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,32 @@ def exact_column_sums(q) -> tuple[np.ndarray, np.ndarray]:
     return sums, certified
 
 
-# Squared gradients per exact_column_sums call in statistics: whole networks,
-# as many as fit in this many float64 elements (at least one), so that the
-# cascade's per-pass call overhead is shared at small n and its buffers stay
-# small at large n. The statistics do not depend on it.
+# Float64 elements per block: statistics sums the squared gradients of as
+# many whole networks as fit in this many (n, d) columns with one
+# exact_column_sums call, so that the cascade's per-pass call overhead is
+# shared at small n and its buffers stay small at large n; and
+# ``network_blocks`` evaluates as many networks of a sampled class per call
+# as fit in it at their widest layer. The results do not depend on it.
 _SUM_BLOCK = 2 ** 16
+
+
+def network_blocks(nets, n: int):
+    """``(start, stop, block)`` over ``nets`` in order, ``block`` being
+    ``nets[start:stop]`` as one argument of ``forward_batch`` or
+    ``input_gradient_batch`` on n rows.
+
+    A ``SampledClass`` goes ``B = max(1, _SUM_BLOCK // (n * max(layer_dims)))``
+    networks at a time, so that a block's (B, n, width) arrays hold at most
+    ``_SUM_BLOCK`` elements when B > 1; any other sequence one network at a
+    time, the network itself being the block."""
+    if not isinstance(nets, SampledClass):
+        for k, net in enumerate(nets):
+            yield k, k + 1, net
+        return
+    per_block = max(1, _SUM_BLOCK // (n * max(nets.layer_dims)))
+    for start in range(0, len(nets), per_block):
+        stop = min(start + per_block, len(nets))
+        yield start, stop, nets[start:stop]
 
 
 def statistics(nets, X) -> tuple[np.ndarray, int]:
@@ -138,8 +159,10 @@ def statistics(nets, X) -> tuple[np.ndarray, int]:
     Row k, column j is the mean over rows of the squared j-th input gradient
     component of ``nets[k]``, its sum exactly rounded. The squared gradients
     of a block of networks sit side by side in one reusable buffer, summed by
-    one ``exact_column_sums`` call. A sum that is not finite, from a gradient
-    or a sum of squares past the float range, raises NumericalError.
+    one ``exact_column_sums`` call; their gradients come from
+    ``input_gradient_batch`` in the blocks of ``network_blocks``. A sum that
+    is not finite, from a gradient or a sum of squares past the float range,
+    raises NumericalError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))  # a 1-D X is one point
     if X.size == 0:
@@ -147,16 +170,17 @@ def statistics(nets, X) -> tuple[np.ndarray, int]:
     n, d = len(X), X.shape[-1]
     stats = np.empty((len(nets), d))
     per_block = max(1, _SUM_BLOCK // (n * d))
-    squares = np.empty((n, min(per_block, len(nets)) * d))
+    # squares[:, r, j] is network r's of gradient component j: column r * d + j for the sums
+    squares = np.empty((n, min(per_block, len(nets)), d))
     fallbacks = 0
     for start in range(0, len(nets), per_block):
         block = nets[start:start + per_block]
         with np.errstate(over="ignore", invalid="ignore"):  # checked by the sums
-            for r, net in enumerate(block):
-                g = input_gradient_batch(net, X)
-                np.multiply(g, g, out=squares[:, r * d:(r + 1) * d])
+            for lo, hi, part in network_blocks(block, n):
+                g = input_gradient_batch(part, X)
+                np.multiply(g, g, out=squares[:, lo:hi].swapaxes(0, 1))
         try:
-            sums, certified = exact_column_sums(squares[:, :len(block) * d])
+            sums, certified = exact_column_sums(squares[:, :len(block)].reshape(n, -1))
         except OverflowError:  # finite squares whose sum exceeds the float range
             sums = None
         if sums is None or not np.isfinite(sums).all():

@@ -364,6 +364,20 @@ class TestTestCommand:
             err = capsys.readouterr().err
             assert err.startswith("out of memory: ") and "Traceback" not in err
 
+    def test_huge_m_exits_before_any_network_is_drawn(self, tmp_path, capsys, monkeypatch):
+        import nnsig.network
+
+        def no_draw(*args):
+            raise AssertionError("a network was drawn before the null's arrays were allocated")
+
+        # the streams of the sampled networks, not the fit's
+        monkeypatch.setattr(nnsig.network, "generators", no_draw)
+        cfg = base_config(tmp_path)
+        cfg["test"]["m"] = 10 ** 12
+        assert main(["test", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and "Traceback" not in err
+
     def test_csv_input_path(self, tmp_path):
         gen = base_config(tmp_path)
         assert main(["generate", "--config", write_config(tmp_path, gen, "g.json")]) == 0

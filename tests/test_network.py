@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import nnsig.significance
+from nnsig.data import TargetSpec, generate
 from nnsig.exceptions import ConfigurationError, FormatError, InputError
 from nnsig.network import (
     _ACTIVATIONS,
     Network,
+    SampledClass,
     _stable_sigmoid,
     forward,
     forward_batch,
@@ -16,9 +19,13 @@ from nnsig.network import (
     input_gradient_batch,
     linear_network,
     load,
+    sample_networks,
     save,
     second_moment,
 )
+from nnsig.nulldist import empirical_covariance
+from nnsig.significance import network_blocks
+from nnsig.training import ArchSpec, TrainConfig, fit_least_squares
 
 
 def truncated_normal_std(sigma, a=2.0):
@@ -143,6 +150,68 @@ class TestBitIdenticalToReference:
             assert out.tobytes() == ref_out.tobytes()
             assert grad.tobytes() == ref_grad.tobytes()
             assert X.tobytes() == before
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_signed_zero_pre_activations(self, activation):
+        # the class adds no zero bias, so a pre-activation may stay -0.0
+        # where the per-network formula makes it +0.0: the value may differ
+        # only in the sign of a zero, and the derivative not at all
+        psi, derivative = _ACTIVATIONS[activation]
+        plus, minus = psi(np.zeros(40)), psi(np.full(40, -0.0))
+        assert np.array_equal(plus, minus) and not np.isnan(plus).any()
+        assert derivative(plus).tobytes() == derivative(minus).tobytes()
+
+    # n = 5000 rows give one network per call; n = 1500 three, so that seven
+    # networks take blocks of 3, 3 and 1
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("n, m, sizes", [(5000, 3, [1, 1, 1]), (1500, 7, [3, 3, 1])])
+    def test_class_matches_each_network(self, activation, depth, n, m, sizes):
+        dims = (9,) + (12,) * depth + (1,)
+        nets = sample_networks(m, dims, activation, 10 * depth + m)
+        z = special_array((n, 9), depth, scale=1.0)
+        z[:n // 10] *= 400.0  # pre-activations far into both tails
+        X = z.copy()
+        X[n // 2] = 0.0  # an all-zero covariate row: every first pre-activation a zero
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the products
+            first = X @ nets.weights[0].swapaxes(1, 2)
+            refs = [ref_output_and_gradient(net, X) for net in nets]
+        blocks = list(network_blocks(nets, n))
+        # the planted values reach the first pre-activations
+        assert np.isnan(first).any() and np.isposinf(first).any() and np.isneginf(first).any()
+        assert (first == 0.0).all(axis=2)[:, n // 2].all()
+        assert (first > 745.2).any() and (first < -745.2).any()
+        assert [stop - start for start, stop, _ in blocks] == sizes
+        for start, stop, block in blocks:
+            assert isinstance(block, SampledClass)
+            with np.errstate(invalid="ignore", over="ignore"):
+                out, grad = forward_batch(block, X), input_gradient_batch(block, X)
+            assert out.shape == (stop - start, n) and grad.shape == (stop - start, n, 9)
+            for r, (ref_out, ref_grad) in enumerate(refs[start:stop]):
+                assert out[r].tobytes() == ref_out.tobytes()
+                assert grad[r].tobytes() == ref_grad.tobytes()
+        # the covariance's outputs, block by block, on the rows whose outputs are finite
+        rows = np.isfinite(np.array([out for out, _ in refs])).all(axis=0)
+        assert rows[n // 2] and rows[:n // 10].any()
+        outputs = np.empty((m, np.count_nonzero(rows)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            empirical_covariance(nets, X[rows], outputs)
+            want = [ref_output_and_gradient(net, X[rows])[0] for net in nets]
+        assert outputs.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_fitted_network_matches_reference(self, activation):
+        # a fitted network has nonzero biases, which the one-network case adds
+        ds = generate(TargetSpec(kind="linear", beta=(1.0, -0.5, 0.0)), 200, 3, seed=3)
+        net = fit_least_squares(ds, ArchSpec(depth=2, width=6, activation=activation),
+                                TrainConfig(seed=3, epochs=5)).net
+        assert all(np.count_nonzero(b) for b in net.biases)
+        X = np.vstack([special_array((300, 3), 4, scale=2.0), np.zeros((1, 3))])
+        with np.errstate(invalid="ignore", over="ignore"):
+            out, grad = forward_batch(net, X), input_gradient_batch(net, X)
+            ref_out, ref_grad = ref_output_and_gradient(net, X)
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestInitGlorot:

@@ -2,6 +2,7 @@ import math
 import threading
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nnsig.data import TargetSpec, generate
 from nnsig.exceptions import ConfigurationError, InputError, NumericalError
+import nnsig.network
 import nnsig.nulldist
 import nnsig.significance
 from nnsig.network import Network, glorot_sigma, init_glorot, input_gradient_batch, second_moment
@@ -78,6 +80,28 @@ class TestSampleNetworks:
                 assert a.tobytes() == b.tobytes()
             plain = generator(2 ** 70 + 5, 0, k).normal(0.0, glorot_sigma(3), (60, 3))
             assert not np.array_equal(net.weights[0], plain)
+
+    def test_weights_are_allocated_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a network was drawn before the weights were allocated")
+
+        monkeypatch.setattr(nnsig.network, "truncated_normal", no_draw)
+        with pytest.raises(MemoryError):  # past the free memory
+            sample_networks(10 ** 12, (3, 50, 50, 1), "tanh", 0)
+        with pytest.raises(MemoryError, match=f"^m = {2 ** 62} networks of 50 by 3 weights"):
+            sample_networks(2 ** 62, (3, 50, 50, 1), "tanh", 0)  # past the index range
+
+    def test_class_views_and_subclasses(self):
+        nets = sample_networks(5, (3, 4, 4, 1), "relu", 2)
+        picked = nets[np.array([4, 1])]
+        assert len(nets) == 5 and len(nets[1:3]) == 2 and len(picked) == 2
+        for sub, k in ((nets[1:3], 1), (picked, 4)):
+            assert sub.layer_dims == nets.layer_dims and sub.activation == "relu"
+            for a, b in zip(sub[0].weights, nets[k].weights):
+                assert a.tobytes() == b.tobytes()
+        assert all(np.array_equal(b, np.zeros(b.shape)) for b in nets[-1].biases)
+        with pytest.raises(IndexError):
+            nets[5]
 
     def test_growth_appends_without_changing_prefix(self):
         base = sample_networks(4, (3, 5, 1), "tanh", 9)
@@ -439,13 +463,53 @@ class TestNullDistribution:
                 assert np.isnan(null.stats[k]).all()
         assert null.fsum_fallbacks == 0
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_blocks_do_not_change_the_null(self, activation, monkeypatch):
+        # 65536 elements take all 7 networks of 100 rows by 8 units in one
+        # call; 3 * 800 take blocks of 3, 3 and 1, for the outputs and for
+        # the gradients of the selected networks
+        X = np.random.default_rng(47).uniform(-1, 1, (100, 3))
+        net = init_glorot((3, 8, 8, 1), activation, 48)
+        fitted = FittedModel(net, [], 0.0, second_moment(net, X))
+        cfg = NullConfig(m=7, n_p=300, seed=49)
+        factor = nnsig.nulldist.cholesky_with_jitter
+        covariances, outputs, gradients = [], [], []
+
+        def factorize(cov):
+            covariances.append(cov.entries.copy())
+            return factor(cov)
+
+        def sizes(function, calls):
+            def call(nets, X):
+                calls.append(len(nets))
+                return function(nets, X)
+            return call
+
+        monkeypatch.setattr(nnsig.nulldist, "cholesky_with_jitter", factorize)
+        monkeypatch.setattr(nnsig.nulldist, "forward_batch",
+                            sizes(nnsig.nulldist.forward_batch, outputs))
+        monkeypatch.setattr(nnsig.significance, "input_gradient_batch",
+                            sizes(nnsig.significance.input_gradient_batch, gradients))
+        whole = build_null(fitted, X, cfg)
+        selected = whole.distinct_selected
+        assert outputs == [7] and gradients == [selected] and 4 <= selected <= 7
+        outputs.clear(), gradients.clear()
+        monkeypatch.setattr(nnsig.significance, "_SUM_BLOCK", 3 * 800)
+        blocked = build_null(fitted, X, cfg)
+        assert outputs == [3, 3, 1]
+        assert gradients == [3] * (selected // 3) + [selected % 3] * (selected % 3 > 0)
+        assert covariances[0].tobytes() == covariances[1].tobytes()
+        assert whole.idx.tobytes() == blocked.idx.tobytes()
+        assert whole.stats.tobytes() == blocked.stats.tobytes()
+        assert whole.fsum_fallbacks == blocked.fsum_fallbacks
+
     def test_gradients_only_for_selected_networks(self, small_fitted, monkeypatch):
         fitted, ds = small_fitted
         real, differentiated = nnsig.significance.input_gradient_batch, []
 
-        def counting(net, X):
-            differentiated.append(net)
-            return real(net, X)
+        def counting(nets, X):  # a block of the sampled class per call
+            differentiated.extend(nets)
+            return real(nets, X)
 
         monkeypatch.setattr(nnsig.significance, "input_gradient_batch", counting)
         cfg = NullConfig(m=30, n_p=40, seed=7)
@@ -536,6 +600,19 @@ class TestSignificanceTest:
         assert sorted(null.timings) == ["cholesky", "evaluate", "sample", "select"]
         assert null.timings["evaluate"] >= pause
         assert null.timings["select"] >= 2 * pause
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_covariance_is_a_numerical_error(self):
+        # outputs near 1e160, whose products overflow: every entry of S is
+        # inf, and the factor once came back with NaN entries whose argmax
+        # gave p-values (1.0 and 0.726 on these inputs) with no error
+        X = np.random.default_rng(50).uniform(-1, 1, (50, 2)) * 1e160
+        net = init_glorot((2, 4, 1), "relu", 51)
+        with np.errstate(over="ignore"):  # the fitted network's second moment overflows too
+            fitted = FittedModel(net, [0.0], 0.0, second_moment(net, X))
+        with pytest.raises(NumericalError, match="covariance of the sampled networks' outputs "
+                                                 "is not finite"):
+            significance_tests(fitted, mock.Mock(X=X), [0, 1], NullConfig(m=20, n_p=200, seed=1))
 
     def test_variable_out_of_range(self, small_fitted):
         fitted, ds = small_fitted
